@@ -1,7 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
-import repro.data.TableGen
+import org.scalatest.funsuite.AnyFunSuite
 import repro.eval.AccuracyEval
 
 /** Supporting bench for §5.2/§5.3 (Figures 3–4 are figures and out of
@@ -10,11 +9,9 @@ import repro.eval.AccuracyEval
   * intersection grows and stabilizes roughly at 0.1, and the estimators
   * (Pearson, Spearman, RIN, Qn, PM1) behave similarly.
   */
-class AccuracyBench extends SparkSpec {
+class AccuracyBench extends AnyFunSuite {
 
-  // SBN collection scaled per DESIGN.md §4: 300 pairs, up to 60k rows.
-  private lazy val pairs = TableGen.sbn(300, 200, 60000, seed = 404L).map(p => (p.x, p.y))
-  private lazy val obs = AccuracyEval.observe(pairs, Seq(64, 256, 1024))
+  private lazy val obs = AccuracyEval.experiment()
 
   private def rmse(os: Seq[AccuracyEval.Obs]): Double =
     math.sqrt(os.map(o => math.pow(o.estimate - o.truth, 2)).sum / os.size)

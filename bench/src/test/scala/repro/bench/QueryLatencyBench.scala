@@ -1,10 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.SparkSketches
-import repro.data.TableGen
-import repro.index.SketchIndex
-import repro.jobs.QueryLatencyJob
+import repro.eval.QueryLatencyEval
 
 /** Reproduces the §5.5 query-evaluation experiment (prose, not a table):
   * the corpus/query split with sketch size 1024, inverted-index retrieval
@@ -13,24 +10,10 @@ import repro.jobs.QueryLatencyJob
   */
 class QueryLatencyBench extends SparkSpec {
 
-  private lazy val latencies: Seq[Double] = {
-    val tables = TableGen.nycLike(TableGen.CollectionConfig(
-      numGroups = 16, pairsPerGroup = 24, minKeys = 60, maxKeys = 1500), seed = 5555L)
-    val sketches =
-      SparkSketches.buildAll(TableGen.toDF(spark, tables), "pair", "key", "value", 1024)
-    val (queryIds, corpusIds) = sketches.keys.toSeq.sorted.zipWithIndex.partition(_._2 % 2 == 0)
-    val index = new SketchIndex(corpusIds.map(_._1).map(id => id -> sketches(id)).toMap)
-    // warm-up pass for JIT, then measured pass
-    queryIds.take(20).foreach { case (qid, _) => QueryLatencyJob.timedQuery(index, sketches(qid)) }
-    queryIds.map { case (qid, _) => QueryLatencyJob.timedQuery(index, sketches(qid)) }.sorted
-  }
+  private lazy val latencies: Seq[Double] = QueryLatencyEval.experiment(spark)
 
   test("§5.5: print reproduction") {
-    def pct(p: Double) = latencies((p * (latencies.size - 1)).toInt)
-    println(f"queries=${latencies.size} " +
-      f"under100ms=${latencies.count(_ < 100).toDouble / latencies.size * 100}%.1f%% " +
-      f"under200ms=${latencies.count(_ < 200).toDouble / latencies.size * 100}%.1f%% " +
-      f"p50=${pct(0.5)}%.3fms p90=${pct(0.9)}%.3fms p99=${pct(0.99)}%.3fms")
+    println(QueryLatencyEval.render(latencies))
     println("paper: 94% of queries under 100 ms, ~98.5% under 200 ms")
   }
 

@@ -1,8 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.SparkSketches
-import repro.data.TableGen
 import repro.eval.RankingEval
 import repro.rank.Ranker
 
@@ -25,15 +23,7 @@ import repro.rank.Ranker
   */
 class Table1Bench extends SparkSpec {
 
-  // minKeep is low so many candidate pairs have small join samples — the
-  // §4 "needle in a haystack" regime where estimation false positives
-  // appear and risk-aware scoring pays off.
-  private lazy val tables = TableGen.nycLike(TableGen.CollectionConfig(
-    numGroups = 12, pairsPerGroup = 24, minKeys = 60, maxKeys = 3000,
-    minKeep = 0.05), seed = 2021L)
-  private lazy val sketches =
-    SparkSketches.buildAll(TableGen.toDF(spark, tables), "pair", "key", "value", 256)
-  private lazy val result = RankingEval.evaluate(RankingEval.buildCases(tables, sketches))
+  private lazy val result = RankingEval.experiment(spark)
 
   test("Table 1: print reproduction") {
     println(RankingEval.render(result))

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.eval.TimingEval
 
 /** Reproduces **Table 2**: per-pair running times (ms) of join, Pearson
@@ -19,10 +19,9 @@ import repro.eval.TimingEval
   * and sketch times are nearly constant (tiny spread) because the sketch
   * size is fixed.
   */
-class Table2Bench extends SparkSpec {
+class Table2Bench extends AnyFunSuite {
 
-  private lazy val workload = TimingEval.workload(pairs = 250, minN = 100, maxN = 500000)
-  private lazy val table = TimingEval.run(workload, sketchSize = 256)
+  private lazy val table = TimingEval.experiment()
   private lazy val byLabel = table.rows.map(r => r.label -> r).toMap
 
   test("Table 2: print reproduction") {

@@ -1,24 +1,12 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-import repro.data.TableGen
 import repro.eval.AccuracyEval
 
-/** spark-submit entrypoint for the §5.2/§5.3 accuracy numbers (Fig. 3/4
-  * support): RMSE of sketch correlation estimates vs full-join truth, per
-  * estimator, sketch size and join-size bucket.
-  *
-  * args: [numPairs] [maxN] — defaults 200 60000.
+/** Entrypoint for the §5.2/§5.3 accuracy numbers (Fig. 3/4 support): RMSE
+  * of sketch correlation estimates vs full-join truth, per estimator,
+  * sketch size and join-size bucket, with the configuration of
+  * `AccuracyEval.experiment`. Local work only; it starts no Spark session.
   */
 object AccuracyJob {
-  def main(args: Array[String]): Unit = {
-    val numPairs = args.lift(0).map(_.toInt).getOrElse(200)
-    val maxN = args.lift(1).map(_.toInt).getOrElse(60000)
-    val spark = SparkSession.builder().appName("repro-accuracy").getOrCreate()
-    try {
-      val sbn = TableGen.sbn(numPairs, 200, maxN).map(p => (p.x, p.y))
-      val obs = AccuracyEval.observe(sbn, Seq(64, 256, 1024))
-      println(AccuracyEval.render(obs))
-    } finally spark.stop()
-  }
+  def main(args: Array[String]): Unit = println(AccuracyEval.render(AccuracyEval.experiment()))
 }

@@ -1,50 +1,16 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{CorrelationSketch, SparkSketches}
-import repro.data.TableGen
-import repro.index.SketchIndex
-import repro.stats.Correlations
+import repro.eval.QueryLatencyEval
 
-/** spark-submit entrypoint for the §5.5 query-evaluation experiment:
-  * corpus/query split, inverted index, top-100 retrieval by overlap,
-  * re-sort by estimated correlation; reports the query latency
-  * distribution. As in the paper, re-ranking uses the point correlation
-  * estimate over the sketch join.
-  *
-  * args: [sketchSize] — default 1024 (as in the paper).
+/** spark-submit entrypoint for the §5.5 query-evaluation experiment: the
+  * query latency distribution, with the configuration of
+  * `QueryLatencyEval.experiment`.
   */
 object QueryLatencyJob {
-
-  /** One timed query: retrieve top-100 by overlap, estimate correlations
-    * from the sketch joins, re-sort. Returns the latency in milliseconds.
-    */
-  def timedQuery(index: SketchIndex, query: CorrelationSketch): Double = {
-    val t0 = System.nanoTime()
-    val hits = index.search(query, topN = 100)
-    val scored = hits.map { h =>
-      val sj = CorrelationSketch.join(query, index.sketchOf(h.id))
-      val r = Correlations.pearson(sj.xs, sj.ys)
-      h.id -> (if (r.isNaN) 0.0 else math.abs(r))
-    }
-    scored.sortBy { case (id, s) => (-s, id) }
-    (System.nanoTime() - t0) / 1e6
-  }
-
   def main(args: Array[String]): Unit = {
-    val sketchSize = args.lift(0).map(_.toInt).getOrElse(1024)
     val spark = SparkSession.builder().appName("repro-query-latency").getOrCreate()
-    try {
-      val tables = TableGen.nycLike(TableGen.CollectionConfig(numGroups = 16, pairsPerGroup = 24))
-      val df = TableGen.toDF(spark, tables)
-      val sketches = SparkSketches.buildAll(df, "pair", "key", "value", sketchSize)
-      val (queryIds, corpusIds) = sketches.keys.toSeq.sorted.zipWithIndex.partition(_._2 % 2 == 0)
-      val index = new SketchIndex(corpusIds.map(_._1).map(id => id -> sketches(id)).toMap)
-      val latencies = queryIds.map(_._1).map(qid => timedQuery(index, sketches(qid))).sorted
-      def pct(p: Double) = latencies((p * (latencies.size - 1)).toInt)
-      println(f"queries=${latencies.size} under100ms=${latencies.count(_ < 100).toDouble / latencies.size * 100}%.1f%% " +
-        f"under200ms=${latencies.count(_ < 200).toDouble / latencies.size * 100}%.1f%% " +
-        f"p50=${pct(0.5)}%.2fms p99=${pct(0.99)}%.2fms")
-    } finally spark.stop()
+    try println(QueryLatencyEval.render(QueryLatencyEval.experiment(spark)))
+    finally spark.stop()
   }
 }

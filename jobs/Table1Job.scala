@@ -1,29 +1,16 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.SparkSketches
-import repro.data.TableGen
 import repro.eval.RankingEval
 
 /** spark-submit entrypoint reproducing Table 1 (ranking quality of the
-  * scoring functions on the NYC-like collection).
-  *
-  * args: [sketchSize] [numGroups] [pairsPerGroup] — defaults 256 12 24.
+  * scoring functions on the NYC-like collection), with the configuration
+  * of `RankingEval.experiment`.
   */
 object Table1Job {
   def main(args: Array[String]): Unit = {
-    val sketchSize = args.lift(0).map(_.toInt).getOrElse(256)
-    val groups = args.lift(1).map(_.toInt).getOrElse(12)
-    val pairs = args.lift(2).map(_.toInt).getOrElse(24)
     val spark = SparkSession.builder().appName("repro-table1").getOrCreate()
-    try {
-      val tables = TableGen.nycLike(TableGen.CollectionConfig(
-        numGroups = groups, pairsPerGroup = pairs))
-      val df = TableGen.toDF(spark, tables)
-      val sketches = SparkSketches.buildAll(df, "pair", "key", "value", sketchSize)
-      val cases = RankingEval.buildCases(tables, sketches)
-      val result = RankingEval.evaluate(cases)
-      println(RankingEval.render(result))
-    } finally spark.stop()
+    try println(RankingEval.render(RankingEval.experiment(spark)))
+    finally spark.stop()
   }
 }

@@ -1,26 +1,12 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.TimingEval
 
-/** spark-submit entrypoint reproducing Table 2 (per-pair running times of
-  * join + correlation on full data vs sketches). The timing itself is
-  * driver-local in-memory work, matching the paper's single-machine
-  * measurement; Spark hosts the driver.
-  *
-  * args: [pairs] [minN] [maxN] [sketchSize] — defaults 300 100 1000000 256.
+/** Entrypoint reproducing Table 2 (per-pair running times of join +
+  * correlation on full data vs sketches), with the configuration of
+  * `TimingEval.experiment`. The timing is local in-memory work, matching
+  * the paper's single-machine measurement, so it starts no Spark session.
   */
 object Table2Job {
-  def main(args: Array[String]): Unit = {
-    val pairs = args.lift(0).map(_.toInt).getOrElse(300)
-    val minN = args.lift(1).map(_.toInt).getOrElse(100)
-    val maxN = args.lift(2).map(_.toInt).getOrElse(1000000)
-    val sketchSize = args.lift(3).map(_.toInt).getOrElse(256)
-    val spark = SparkSession.builder().appName("repro-table2").getOrCreate()
-    try {
-      val workload = TimingEval.workload(pairs, minN, maxN)
-      val table = TimingEval.run(workload, sketchSize)
-      println(TimingEval.render(table))
-    } finally spark.stop()
-  }
+  def main(args: Array[String]): Unit = println(TimingEval.render(TimingEval.experiment()))
 }

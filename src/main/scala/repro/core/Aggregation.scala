@@ -13,33 +13,22 @@ sealed trait AggFn extends Serializable {
   /** Finalize a per-key state into the single numeric value used by the
     * correlation estimators. */
   def finalize(sum: Double, count: Long, min: Double, max: Double): Double
-  def name: String
 }
 
 object AggFn {
   case object Mean extends AggFn {
     def finalize(sum: Double, count: Long, min: Double, max: Double): Double = sum / count
-    val name = "mean"
   }
   case object Sum extends AggFn {
     def finalize(sum: Double, count: Long, min: Double, max: Double): Double = sum
-    val name = "sum"
   }
   case object Count extends AggFn {
     def finalize(sum: Double, count: Long, min: Double, max: Double): Double = count.toDouble
-    val name = "count"
   }
   case object Min extends AggFn {
     def finalize(sum: Double, count: Long, min: Double, max: Double): Double = min
-    val name = "min"
   }
   case object Max extends AggFn {
     def finalize(sum: Double, count: Long, min: Double, max: Double): Double = max
-    val name = "max"
   }
-
-  val all: Seq[AggFn] = Seq(Mean, Sum, Count, Min, Max)
-
-  def byName(s: String): AggFn =
-    all.find(_.name == s).getOrElse(throw new IllegalArgumentException(s"unknown aggregate: $s"))
 }

@@ -35,6 +35,10 @@ final case class KeyState(
   * Also tracks the global value range [xMin, xMax] over *all* rows (one
   * pass, as in §4.2) which feeds the Hoeffding confidence bounds, and the
   * total row count.
+  *
+  * Rows whose value is NaN or ±Inf are dropped before they reach any of
+  * this state: one such row would make its key's aggregate, and with it
+  * every estimate and bound over a join containing that key, non-finite.
   */
 final class SketchBuffer(val maxSize: Int) extends Serializable {
   require(maxSize >= 1, s"sketch size must be >= 1, got $maxSize")
@@ -50,7 +54,7 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
 
   def update(key: String, value: Double): Unit = updateHashed(Hashing.h(key), value)
 
-  def updateHashed(hash: Int, value: Double): Unit = {
+  def updateHashed(hash: Int, value: Double): Unit = if (java.lang.Double.isFinite(value)) {
     rows += 1L
     if (value < xMin) xMin = value
     if (value > xMax) xMax = value
@@ -223,13 +227,5 @@ object CorrelationSketch {
     if (a.isEmpty) return 0.0
     val da = a.distinctEstimate
     if (da <= 0) 0.0 else math.min(1.0, intersectionEstimate(a, b) / da)
-  }
-
-  /** Estimated Jaccard similarity |A∩B| / |A∪B|. */
-  def jaccardEstimate(a: CorrelationSketch, b: CorrelationSketch): Double = {
-    if (a.isEmpty && b.isEmpty) return 0.0
-    val inter = intersectionEstimate(a, b)
-    val union = a.distinctEstimate + b.distinctEstimate - inter
-    if (union <= 0) 0.0 else math.max(0.0, math.min(1.0, inter / union))
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.expressions.Aggregator
-import org.apache.spark.sql.{DataFrame, Encoder, Encoders, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoder, Encoders}
 import org.apache.spark.sql.functions._
 
 /** One ⟨key, value⟩ observation belonging to the column pair `pair`.
@@ -33,7 +33,8 @@ object SparkSketches {
 
   /** Normalize an arbitrary DataFrame into the KV shape. Rows with a null
     * key or value are dropped — they correspond to missing data, for which
-    * neither joinability nor correlation is defined.
+    * neither joinability nor correlation is defined. Non-finite values pass
+    * through here and are dropped by [[SketchBuffer]].
     */
   def toKV(df: DataFrame, pairCol: String, keyCol: String, valueCol: String): DataFrame =
     df.select(
@@ -55,13 +56,5 @@ object SparkSketches {
       .agg(new SketchAggregator(maxSize, agg).toColumn)
       .collect()
       .toMap
-  }
-
-  /** Build a single sketch for one table's ⟨keyCol, valueCol⟩ column pair. */
-  def buildOne(df: DataFrame, keyCol: String, valueCol: String,
-               maxSize: Int, agg: AggFn = AggFn.Mean): CorrelationSketch = {
-    val withPair = df.withColumn("__pair", lit("q"))
-    buildAll(withPair, "__pair", keyCol, valueCol, maxSize, agg)
-      .getOrElse("q", new SketchBuffer(maxSize).result(agg))
   }
 }

@@ -19,9 +19,9 @@ final case class SbnPair(x: KVTable, y: KVTable, targetR: Double)
 /** Deterministic generators for the three §5.1 data collections.
   *
   * The paper's real collections (NYC Open Data, World Bank Finances
-  * snapshots from Sept 2019) are not available offline; `nycLike` /
-  * `wbfLike` are synthetic stand-ins that preserve the structure the
-  * evaluation stresses — see DESIGN.md §4 for the substitution rationale.
+  * snapshots from Sept 2019) are not available offline; `nycLike` is a
+  * synthetic stand-in that preserves the structure the evaluation
+  * stresses — see DESIGN.md §4 for the substitution rationale.
   */
 object TableGen {
 
@@ -140,14 +140,6 @@ object TableGen {
     }
     out.result()
   }
-
-  /** WBF-like preset: fewer tables, heavier tails and sparser keys, echoing
-    * the World Bank Finances collection (large monetary values, missing
-    * data).
-    */
-  def wbfLike(seed: Long = 23L): Seq[KVTable] =
-    nycLike(CollectionConfig(numGroups = 6, pairsPerGroup = 12, minKeys = 40,
-      maxKeys = 600, lognormalFraction = 0.6, outlierRate = 0.02, minKeep = 0.2), seed)
 
   /** Flatten a collection into the (pair, key, value) DataFrame shape used
     * by [[repro.core.SparkSketches.buildAll]].

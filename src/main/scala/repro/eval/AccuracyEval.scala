@@ -1,7 +1,7 @@
 package repro.eval
 
 import repro.core.CorrelationSketch
-import repro.data.{FullJoin, KVTable}
+import repro.data.{FullJoin, KVTable, TableGen}
 import repro.stats.Correlations
 
 /** Supporting harness for the §5.2/§5.3 accuracy results (Figures 3–4 are
@@ -70,6 +70,12 @@ object AccuracyEval {
       }
     }
   }
+
+  /** The accuracy experiment as the bench and `AccuracyJob` run it, on the
+    * SBN collection scaled per DESIGN.md §4.
+    */
+  def experiment(): Seq[Obs] =
+    observe(TableGen.sbn(300, 200, 60000, seed = 404L).map(p => (p.x, p.y)), Seq(64, 256, 1024))
 
   /** RMSE of (estimate − truth) grouped by estimator, sketch size and
     * join-size bucket (powers of two, as the x-axis of Fig. 4).

@@ -1,7 +1,8 @@
 package repro.eval
 
-import repro.core.CorrelationSketch
-import repro.data.{FullJoin, KVTable}
+import org.apache.spark.sql.SparkSession
+import repro.core.{CorrelationSketch, SparkSketches}
+import repro.data.{FullJoin, KVTable, TableGen}
 import repro.rank.{CandidateEstimates, Metrics, Ranker, Scoring}
 import repro.stats.Correlations
 
@@ -84,6 +85,21 @@ object RankingEval {
       )
     }.toMap
     Result(scores)
+  }
+
+  /** Table 1 as the bench and `Table1Job` run it, on the NYC-like
+    * collection with sketches built through Spark. `minKeep` is low so many
+    * candidate pairs have small join samples — the §4 "needle in a
+    * haystack" regime where estimation false positives appear and
+    * risk-aware scoring pays off.
+    */
+  def experiment(spark: SparkSession): Result = {
+    val tables = TableGen.nycLike(TableGen.CollectionConfig(
+      numGroups = 12, pairsPerGroup = 24, minKeys = 60, maxKeys = 3000,
+      minKeep = 0.05), seed = 2021L)
+    val sketches =
+      SparkSketches.buildAll(TableGen.toDF(spark, tables), "pair", "key", "value", 256)
+    evaluate(buildCases(tables, sketches))
   }
 
   /** Render the four Table 1 sub-tables (ranker, score, % over jc). */

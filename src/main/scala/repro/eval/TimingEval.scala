@@ -60,8 +60,11 @@ object TimingEval {
   }
 
   /** Time all six operations over the workload. Sketches are prebuilt
-    * (they are, by design, precomputed at indexing time); `warmup` pairs
-    * are measured and discarded so JIT compilation does not pollute tails.
+    * (they are, by design, precomputed at indexing time). The three sketch
+    * ops run in one pass over all pairs and the three full-data ops in
+    * another, so the full joins' garbage never lands in a sketch timing;
+    * each pass is preceded by the same pass over the first `warmup` pairs,
+    * discarded, so JIT compilation does not pollute tails.
     */
   def run(pairs: Seq[(KVTable, KVTable)], sketchSize: Int = 256,
           warmup: Int = 20): Table2 = {
@@ -69,45 +72,20 @@ object TimingEval {
       (CorrelationSketch.fromColumns(a.keys, a.values, sketchSize),
        CorrelationSketch.fromColumns(b.keys, b.values, sketchSize))
     }
-    val m = pairs.length
-    val fullJoin = new Array[Double](m); val fullRp = new Array[Double](m)
-    val fullRs = new Array[Double](m)
-    val skJoin = new Array[Double](m); val skRp = new Array[Double](m)
-    val skRs = new Array[Double](m)
-
-    def measure(): Unit = {
-      var i = 0
-      while (i < m) {
-        val (a, b) = pairs(i)
-        val (joined, tJoin) = timeMs(FullJoin.joinedColumns(a, b, AggFn.Mean))
-        val (_, tRp) = timeMs(Correlations.pearson(joined._1, joined._2))
-        val (_, tRs) = timeMs(Correlations.spearman(joined._1, joined._2))
-        val (ska, skb) = sketches(i)
-        val (sj, tSkJoin) = timeMs(CorrelationSketch.join(ska, skb))
-        val (_, tSkRp) = timeMs(Correlations.pearson(sj.xs, sj.ys))
-        val (_, tSkRs) = timeMs(Correlations.spearman(sj.xs, sj.ys))
-        fullJoin(i) = tJoin; fullRp(i) = tRp; fullRs(i) = tRs
-        skJoin(i) = tSkJoin; skRp(i) = tSkRp; skRs(i) = tSkRs
-        i += 1
-      }
+    val fullJoin = (i: Int) => FullJoin.joinedColumns(pairs(i)._1, pairs(i)._2, AggFn.Mean)
+    val sketchJoin = (i: Int) => {
+      val sj = CorrelationSketch.join(sketches(i)._1, sketches(i)._2)
+      (sj.xs, sj.ys)
     }
-    // Warm-up pass over a prefix, results discarded.
-    var w = 0
-    while (w < math.min(warmup, m)) {
-      val (a, b) = pairs(w)
-      val joined = FullJoin.joinedColumns(a, b, AggFn.Mean)
-      Correlations.pearson(joined._1, joined._2)
-      Correlations.spearman(joined._1, joined._2)
-      val (ska, skb) = sketches(w)
-      val sj = CorrelationSketch.join(ska, skb)
-      Correlations.pearson(sj.xs, sj.ys)
-      Correlations.spearman(sj.xs, sj.ys)
-      w += 1
+    def timed(join: Int => (Array[Double], Array[Double])): Array[Array[Double]] = {
+      pass(math.min(warmup, pairs.length), join)
+      pass(pairs.length, join)
     }
-    measure()
+    val Array(skJoin, skRp, skRs) = timed(sketchJoin)
+    val Array(fullJ, fullRp, fullRs) = timed(fullJoin)
 
     Table2(Seq(
-      stats("full.join", fullJoin),
+      stats("full.join", fullJ),
       stats("full.r_s", fullRs),
       stats("full.r_p", fullRp),
       stats("sketch.join", skJoin),
@@ -115,6 +93,26 @@ object TimingEval {
       stats("sketch.r_s", skRs),
     ))
   }
+
+  /** Times (ms) of `join`, then Pearson and Spearman over its paired
+    * columns, for each of the first `m` pairs: one row per op, one timing
+    * per pair.
+    */
+  private def pass(m: Int, join: Int => (Array[Double], Array[Double])): Array[Array[Double]] = {
+    val t = Array.ofDim[Double](3, m)
+    var i = 0
+    while (i < m) {
+      val ((xs, ys), tJoin) = timeMs(join(i))
+      t(0)(i) = tJoin
+      t(1)(i) = timeMs(Correlations.pearson(xs, ys))._2
+      t(2)(i) = timeMs(Correlations.spearman(xs, ys))._2
+      i += 1
+    }
+    t
+  }
+
+  /** Table 2 as the bench and `Table2Job` run it. */
+  def experiment(): Table2 = run(workload(pairs = 250, minN = 100, maxN = 500000), sketchSize = 256)
 
   def render(t: Table2): String = {
     val sb = new StringBuilder

@@ -2,6 +2,7 @@ package repro
 
 import repro.core.{CorrelationSketch, SparkSketches}
 import repro.data.{FullJoin, TableGen}
+import repro.eval.QueryLatencyEval
 import repro.index.SketchIndex
 import repro.rank.{CandidateEstimates, Ranker, Scoring}
 import repro.stats.Correlations
@@ -35,6 +36,15 @@ class EndToEndSpec extends SparkSpec {
     found.get
   }
 
+  /** Sketch-side estimates for the interesting query's top-100 hits. */
+  private lazy val cands: Seq[CandidateEstimates] = {
+    val qid = interestingQuery._1
+    index.search(sketches(qid), topN = 100, exclude = Set(qid)).map { h =>
+      CandidateEstimates(h.id, sketches(qid), index.sketchOf(h.id),
+        jcExact = FullJoin.jaccardContainment(byId(qid), byId(h.id)), seed = 3L)
+    }
+  }
+
   test("query retrieval returns only joinable group members") {
     val (qid, _) = interestingQuery
     val g = qid.split(':')(0)
@@ -44,13 +54,8 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("a top-k join-correlation query surfaces a strongly correlated column on top") {
-    val (qid, truths) = interestingQuery
+    val (_, truths) = interestingQuery
     val truthMap = truths.toMap
-    val hits = index.search(sketches(qid), topN = 100, exclude = Set(qid))
-    val cands = hits.map { h =>
-      CandidateEstimates(h.id, sketches(qid), index.sketchOf(h.id),
-        jcExact = FullJoin.jaccardContainment(byId(qid), byId(h.id)), seed = 3L)
-    }
     val ranked = Scoring.rank(cands, Ranker.Rp)
     val top3Truth = ranked.take(3).map { case (id, _) => truthMap.getOrElse(id, 0.0) }
     assert(top3Truth.max > 0.5,
@@ -58,16 +63,17 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("risk-aware ranking (r_p*ci_h) also surfaces strong candidates") {
-    val (qid, truths) = interestingQuery
+    val (_, truths) = interestingQuery
     val truthMap = truths.toMap
-    val hits = index.search(sketches(qid), topN = 100, exclude = Set(qid))
-    val cands = hits.map { h =>
-      CandidateEstimates(h.id, sketches(qid), index.sketchOf(h.id),
-        jcExact = FullJoin.jaccardContainment(byId(qid), byId(h.id)), seed = 3L)
-    }
     val ranked = Scoring.rank(cands, Ranker.RpCih)
     val top5Truth = ranked.take(5).map { case (id, _) => truthMap.getOrElse(id, 0.0) }
     assert(top5Truth.max > 0.5, s"top-5 truths: $top5Truth")
+  }
+
+  test("the timed §5.5 query ranks its hits as the r_p scorer does") {
+    val qid = interestingQuery._1
+    val corpus = new SketchIndex(sketches - qid)
+    assert(QueryLatencyEval.query(corpus, sketches(qid)) == Scoring.rank(cands, Ranker.Rp).map(_._1))
   }
 
   test("sketch correlation estimates agree with full-join truth for large joins") {

@@ -3,7 +3,7 @@ package repro.core
 import repro.SparkSpec
 
 /** The KMV-family estimators retained by the sketch (§2.1, §3.3):
-  * distinct values, intersection size (Eq. 1), containment and Jaccard.
+  * distinct values, intersection size (Eq. 1) and containment.
   */
 class KmvEstimatorSpec extends SparkSpec {
 
@@ -73,26 +73,10 @@ class KmvEstimatorSpec extends SparkSpec {
     assert(est >= 0.0 && est <= 1.0)
   }
 
-  test("jaccard estimate matches exact jaccard for exact sketches") {
-    val a = sketchOf((0 until 30).map(i => s"j$i"), 64)
-    val b = sketchOf((15 until 45).map(i => s"j$i"), 64)
-    // |∩| = 15, |∪| = 45
-    assert(math.abs(CorrelationSketch.jaccardEstimate(a, b) - 15.0 / 45.0) < 1e-12)
-  }
-
-  test("jaccard estimate approximates the truth for truncated sketches") {
-    val a = sketchOf((0 until 10000).map(i => s"jj$i"), 512)
-    val b = sketchOf((5000 until 15000).map(i => s"jj$i"), 512)
-    val est = CorrelationSketch.jaccardEstimate(a, b)
-    val truth = 5000.0 / 15000.0
-    assert(math.abs(est - truth) < 0.15, s"estimate $est vs $truth")
-  }
-
   test("empty sketches produce zero estimates") {
     val e = sketchOf(Seq.empty, 16)
     val a = sketchOf(Seq("a"), 16)
     assert(CorrelationSketch.intersectionEstimate(e, a) == 0.0)
     assert(CorrelationSketch.containmentEstimate(e, a) == 0.0)
-    assert(CorrelationSketch.jaccardEstimate(e, e) == 0.0)
   }
 }

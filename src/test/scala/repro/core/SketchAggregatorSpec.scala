@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.data.TableGen
+import repro.stats.{ConfidenceBounds, Correlations}
 
 /** Distributed sketch construction must agree with the sequential local
   * build — Spark partitioning and merge order may not change the sketch.
@@ -66,12 +67,29 @@ class SketchAggregatorSpec extends SparkSpec {
     assert(sk.keyHashes.toSet == Set(Hashing.h("a"), Hashing.h("c")))
   }
 
-  test("buildOne sketches a single table's column pair") {
+  test("non-finite values are dropped by both the local and the distributed build") {
     import spark.implicits._
-    val df = Seq(("a", 1.0), ("b", 2.0), ("a", 3.0)).toDF("k", "v")
-    val sk = SparkSketches.buildOne(df, "k", "v", 8)
-    assert(sk.rows == 3L)
-    assert(sk.keyHashes.zip(sk.values).toMap.apply(Hashing.h("a")) == 2.0)
+    val t = tables.head
+    // a NaN row on every key, ±Inf on two keys, and a key with no finite value
+    val keys = t.keys ++ t.keys.distinct ++ Array(t.keys(0), t.keys(1), "only-non-finite")
+    val values = t.values ++ t.keys.distinct.map(_ => Double.NaN) ++
+      Array(Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN)
+    val clean = CorrelationSketch.fromColumns(t.keys, t.values, 64)
+    val local = CorrelationSketch.fromColumns(keys, values, 64)
+    val df = keys.zip(values).toSeq.map { case (k, v) => ("d", k, v) }
+      .toDF("pair", "key", "value").repartition(5)
+    val distributed = SparkSketches.buildAll(df, "pair", "key", "value", 64)("d")
+    val other = sparkSketches(tables(1).id) // same join group as `t`
+    for (sk <- Seq(local, distributed)) {
+      assert(sk.keyHashes.toSeq == clean.keyHashes.toSeq)
+      sk.values.zip(clean.values).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
+      assert((sk.rows, sk.xMin, sk.xMax, sk.exact) == (clean.rows, clean.xMin, clean.xMax, clean.exact))
+      val sj = CorrelationSketch.join(sk, other)
+      assert(sj.n >= 3, s"join too small to estimate: ${sj.n}")
+      assert(java.lang.Double.isFinite(Correlations.pearson(sj.xs, sj.ys)))
+      assert(java.lang.Double.isFinite(
+        ConfidenceBounds.hoeffding(sj.xs, sj.ys, sj.cLow, sj.cHigh).hfdLength))
+    }
   }
 
   test("numeric key columns are stringified consistently with local builds") {

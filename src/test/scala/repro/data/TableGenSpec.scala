@@ -75,16 +75,6 @@ class TableGenSpec extends SparkSpec {
     assert(rs.exists(_ < 0.2), "no weakly correlated pair planted")
   }
 
-  test("wbfLike generates heavy-tailed value columns") {
-    val ts = TableGen.wbfLike()
-    val kurtoses = ts.map { t =>
-      val m = t.values.sum / t.rows
-      val v = t.values.map(x => (x - m) * (x - m)).sum / t.rows
-      if (v == 0) 0.0 else t.values.map(x => math.pow(x - m, 4)).sum / t.rows / (v * v)
-    }
-    assert(kurtoses.exists(_ > 9.0), s"max kurtosis ${kurtoses.max} — expected heavy tails")
-  }
-
   test("toDF flattens the collection preserving row counts") {
     val ts = TableGen.nycLike(TableGen.CollectionConfig(numGroups = 1, pairsPerGroup = 3,
       minKeys = 30, maxKeys = 60), seed = 9L)
