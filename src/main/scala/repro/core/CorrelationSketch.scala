@@ -89,18 +89,19 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
     this
   }
 
-  /** Finalize into an immutable sketch, aggregating each key with `agg`. */
+  /** Finalize into an immutable sketch, aggregating each key with `agg`.
+    * Prunes the buffer to its `maxSize` smallest-hu keys first.
+    */
   def result(agg: AggFn): CorrelationSketch = {
-    val exact  = !everTruncated && entries.size <= maxSize
-    val kept   = entries.toArray.sortBy { case (h, _) => rankOf(h) }.take(maxSize)
-    val sorted = kept.sortBy(_._1) // by key hash, for O(n) merge-intersection
+    if (entries.size > maxSize) prune()
+    val sorted = entries.toArray.sortBy(_._1) // by key hash, for O(n) merge-intersection
     CorrelationSketch(
       maxSize = maxSize,
       keyHashes = sorted.map(_._1),
       values = sorted.map { case (_, st) => agg.finalize(st.sum, st.count, st.min, st.max) },
       xMin = if (rows == 0) Double.NaN else xMin,
       xMax = if (rows == 0) Double.NaN else xMax,
-      exact = exact,
+      exact = !everTruncated,
       rows = rows,
     )
   }
@@ -209,14 +210,7 @@ object CorrelationSketch {
     */
   def intersectionEstimate(a: CorrelationSketch, b: CorrelationSketch): Double = {
     if (a.isEmpty || b.isEmpty) return 0.0
-    if (a.exact && b.exact) {
-      var i = 0; var j = 0; var c = 0
-      while (i < a.size && j < b.size) {
-        val d = a.keyHashes(i) - b.keyHashes(j)
-        if (d == 0) { c += 1; i += 1; j += 1 } else if (d < 0) i += 1 else j += 1
-      }
-      return c.toDouble
-    }
+    if (a.exact && b.exact) return join(a, b).n.toDouble
     val (kInter, k, uK) = combinedIntersection(a, b)
     if (k <= 1) kInter.toDouble
     else kInter.toDouble / k * ((k - 1).toDouble / uK)

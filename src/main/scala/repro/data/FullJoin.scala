@@ -14,13 +14,16 @@ import scala.collection.mutable
   */
 object FullJoin {
 
-  /** Aggregate a table's values per distinct key with `agg`. */
+  /** Aggregate a table's finite values per distinct key with `agg`. NaN and
+    * ±Inf rows are skipped, as [[repro.core.SketchBuffer]] skips them, so the
+    * ground truth covers the same rows as the sketches it is compared with.
+    */
   def aggregateByKey(t: KVTable, agg: AggFn): mutable.HashMap[String, Double] = {
     val states = new mutable.HashMap[String, KeyState]
     var i = 0
     while (i < t.rows) {
       val k = t.keys(i); val v = t.values(i)
-      states.get(k) match {
+      if (java.lang.Double.isFinite(v)) states.get(k) match {
         case Some(st) => st.add(v)
         case None     => states.put(k, KeyState(v, 1L, v, v))
       }
@@ -76,14 +79,14 @@ object FullJoin {
   }
 
   /** DataFrame version of the aggregated join, for oracle-checked tests:
-    * mean-aggregate each side per key, inner-join on the key, and return
-    * columns (k, x, y). Semantics must match [[joinedColumns]].
+    * mean-aggregate each side's finite values per key, inner-join on the
+    * key, and return columns (k, x, y). Semantics must match [[joinedColumns]].
     */
   def joinedDF(spark: SparkSession, a: KVTable, b: KVTable): DataFrame = {
-    val dfA = TableGen.toDF(spark, Seq(a)).groupBy(col("key").as("k"))
-      .agg(avg("value").as("x"))
-    val dfB = TableGen.toDF(spark, Seq(b)).groupBy(col("key").as("kb"))
-      .agg(avg("value").as("y"))
+    def finite(t: KVTable) = TableGen.toDF(spark, Seq(t))
+      .filter(!isnan(col("value")) && abs(col("value")) =!= Double.PositiveInfinity)
+    val dfA = finite(a).groupBy(col("key").as("k")).agg(avg("value").as("x"))
+    val dfB = finite(b).groupBy(col("key").as("kb")).agg(avg("value").as("y"))
     dfA.join(dfB, col("k") === col("kb")).select(col("k"), col("x"), col("y"))
   }
 }

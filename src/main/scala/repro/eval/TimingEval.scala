@@ -35,10 +35,21 @@ object TimingEval {
       percentile(s, 0.99), percentile(s, 0.999))
   }
 
+  /** Times per op and pair; the reported time is their median. */
+  private val Repeats = 3
+
   @inline private def timeMs[A](body: => A): (A, Double) = {
     val t0 = System.nanoTime()
     val a = body
     (a, (System.nanoTime() - t0) / 1e6)
+  }
+
+  /** The result of `body` and the median of [[Repeats]] timings (ms) of it,
+    * so one stall from outside the measured code cannot set a pair's time.
+    */
+  private def medianMs[A](body: => A): (A, Double) = {
+    val runs = Array.fill(Repeats)(timeMs(body))
+    (runs(0)._1, runs.map(_._2).sorted.apply(Repeats / 2))
   }
 
   /** Generate `pairs` SBN-style table pairs with heavily skewed sizes in
@@ -95,17 +106,17 @@ object TimingEval {
   }
 
   /** Times (ms) of `join`, then Pearson and Spearman over its paired
-    * columns, for each of the first `m` pairs: one row per op, one timing
-    * per pair.
+    * columns, for each of the first `m` pairs: one row per op, one median
+    * timing per pair.
     */
   private def pass(m: Int, join: Int => (Array[Double], Array[Double])): Array[Array[Double]] = {
     val t = Array.ofDim[Double](3, m)
     var i = 0
     while (i < m) {
-      val ((xs, ys), tJoin) = timeMs(join(i))
+      val ((xs, ys), tJoin) = medianMs(join(i))
       t(0)(i) = tJoin
-      t(1)(i) = timeMs(Correlations.pearson(xs, ys))._2
-      t(2)(i) = timeMs(Correlations.spearman(xs, ys))._2
+      t(1)(i) = medianMs(Correlations.pearson(xs, ys))._2
+      t(2)(i) = medianMs(Correlations.spearman(xs, ys))._2
       i += 1
     }
     t

@@ -38,6 +38,13 @@ class KmvEstimatorSpec extends SparkSpec {
     val a = sketchOf((0 until 30).map(i => s"i$i"), 64)
     val b = sketchOf((10 until 50).map(i => s"i$i"), 64)
     assert(CorrelationSketch.intersectionEstimate(a, b) == 20.0)
+    // hashes of opposite sign more than 2^31 apart must still be ordered right
+    val wide = CorrelationSketch(64, Array(-2000000000, 2000000000), Array(1.0, 2.0),
+      xMin = 1.0, xMax = 2.0, exact = true, rows = 2L)
+    val one = CorrelationSketch(64, Array(2000000000), Array(1.0),
+      xMin = 1.0, xMax = 1.0, exact = true, rows = 1L)
+    assert(CorrelationSketch.intersectionEstimate(wide, one) == 1.0)
+    assert(CorrelationSketch.containmentEstimate(one, wide) == 1.0)
   }
 
   test("intersection estimate approximates true overlap for truncated sketches") {

@@ -7,10 +7,12 @@ import repro.stats.{ConfidenceBounds, Correlations}
 /** Distributed sketch construction must agree with the sequential local
   * build — Spark partitioning and merge order may not change the sketch.
   */
-class SketchAggregatorSpec extends SparkSpec {
+class SparkSketchesSpec extends SparkSpec {
 
+  // 300 pairs, so each of the 13 tasks below holds more pairs than Spark's
+  // 128-entry hash-aggregate map before its sort-based fallback
   private lazy val tables = TableGen.nycLike(
-    TableGen.CollectionConfig(numGroups = 3, pairsPerGroup = 4, minKeys = 50, maxKeys = 300),
+    TableGen.CollectionConfig(numGroups = 3, pairsPerGroup = 100, minKeys = 50, maxKeys = 300),
     seed = 77L)
 
   private lazy val sparkSketches: Map[String, CorrelationSketch] = {

@@ -84,6 +84,18 @@ class FullJoinSpec extends SparkSpec {
     assert(math.abs(rLocal - rSpark) < 1e-9)
   }
 
+  test("non-finite rows are left out of the local and the Spark join") {
+    // a NaN row on a shared key, ±Inf rows on two more, and a key with no finite value
+    val dirty = KVTable("tyd", ty.keys ++ Array("2021-01", "2021-02", "2021-04", "2021-05"),
+      ty.values ++ Array(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN))
+    val (xs, ys) = FullJoin.joinedColumns(tx, ty)
+    val (dxs, dys) = FullJoin.joinedColumns(tx, dirty)
+    assert(dxs.toSeq == xs.toSeq && dys.toSeq == ys.toSeq)
+    val rows = (t: KVTable) => FullJoin.joinedDF(spark, tx, t).collect()
+      .map(r => (r.getString(0), r.getDouble(1), r.getDouble(2))).sortBy(_._1).toSeq
+    assert(rows(dirty) == rows(ty))
+  }
+
   test("local and Spark joins agree on a larger generated pair") {
     val p = TableGen.sbnPair("fj", n = 500, targetR = 0.4, joinProb = 0.7, seed = 12L)
     val (xs, ys) = FullJoin.joinedColumns(p.x, p.y)
