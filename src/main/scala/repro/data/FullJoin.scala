@@ -1,7 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.{AggFn, KeyState}
 
 import scala.collection.mutable
@@ -76,17 +74,5 @@ object FullJoin {
     val kb = b.distinctKeys
     val (s, l) = if (ka.size <= kb.size) (ka, kb) else (kb, ka)
     s.count(l.contains)
-  }
-
-  /** DataFrame version of the aggregated join, for oracle-checked tests:
-    * mean-aggregate each side's finite values per key, inner-join on the
-    * key, and return columns (k, x, y). Semantics must match [[joinedColumns]].
-    */
-  def joinedDF(spark: SparkSession, a: KVTable, b: KVTable): DataFrame = {
-    def finite(t: KVTable) = TableGen.toDF(spark, Seq(t))
-      .filter(!isnan(col("value")) && abs(col("value")) =!= Double.PositiveInfinity)
-    val dfA = finite(a).groupBy(col("key").as("k")).agg(avg("value").as("x"))
-    val dfB = finite(b).groupBy(col("key").as("kb")).agg(avg("value").as("y"))
-    dfA.join(dfB, col("k") === col("kb")).select(col("k"), col("x"), col("y"))
   }
 }

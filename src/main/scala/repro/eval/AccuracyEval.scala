@@ -71,7 +71,7 @@ object AccuracyEval {
     }
   }
 
-  /** The accuracy experiment as the bench and `AccuracyJob` run it, on the
+  /** The accuracy experiment as its bench runs it, on the
     * SBN collection scaled per DESIGN.md §4.
     */
   def experiment(): Seq[Obs] =

@@ -23,7 +23,7 @@ object QueryLatencyEval {
       h.id -> (if (r.isNaN) 0.0 else math.abs(r))
     }.sortBy { case (id, s) => (-s, id) }.map(_._1)
 
-  /** The §5.5 experiment as the bench and `QueryLatencyJob` run it, on the
+  /** The §5.5 experiment as its bench runs it, on the
     * NYC-like collection with sketches built through Spark: every other
     * pair (by sorted id) is a query, the rest the indexed corpus. Returns
     * each query's latency in milliseconds, ascending.

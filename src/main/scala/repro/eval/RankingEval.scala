@@ -87,7 +87,7 @@ object RankingEval {
     Result(scores)
   }
 
-  /** Table 1 as the bench and `Table1Job` run it, on the NYC-like
+  /** Table 1 as its bench runs it, on the NYC-like
     * collection with sketches built through Spark. `minKeep` is low so many
     * candidate pairs have small join samples — the §4 "needle in a
     * haystack" regime where estimation false positives appear and

@@ -122,7 +122,7 @@ object TimingEval {
     t
   }
 
-  /** Table 2 as the bench and `Table2Job` run it. */
+  /** Table 2 as its bench runs it. */
   def experiment(): Table2 = run(workload(pairs = 250, minN = 100, maxN = 500000), sketchSize = 256)
 
   def render(t: Table2): String = {

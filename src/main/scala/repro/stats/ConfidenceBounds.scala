@@ -33,7 +33,8 @@ object ConfidenceBounds {
     * join) from columns whose values lie in [cLow, cHigh].
     *
     * The parameter intervals are intersected with their a-priori valid
-    * ranges (means in [0, C], second moments in [0, C²]) — a strict
+    * ranges (means in [0, C], second moments in [0, C²], here with the
+    * values scaled so that C = 1) — a strict
     * tightening permitted by the analysis, which avoids vacuous negative
     * lower bounds for nonnegative quantities.
     */
@@ -46,27 +47,28 @@ object ConfidenceBounds {
     val c = cHigh - cLow
     if (c == 0.0) return Hoeffding(-1.0, 1.0, Double.NegativeInfinity, Double.PositiveInfinity)
 
-    // Shift into [0, C]: A = X − cLow, B = Y − cLow (§4.3 "Analysis").
+    // Shift into [0, C] (§4.3 "Analysis") and scale by 1/C, so that C = 1:
+    // A = (X − cLow)/C, B = (Y − cLow)/C. Pearson and its bounds are
+    // scale-invariant, and C⁴ in the second-moment half-width would
+    // overflow for C ≳ 1e77 (or underflow for C ≲ 1e-77).
     var mua = 0.0; var mub = 0.0; var va = 0.0; var vb = 0.0; var vab = 0.0
     var i = 0
     while (i < n) {
-      val a = x(i) - cLow; val b = y(i) - cLow
+      val a = (x(i) - cLow) / c; val b = (y(i) - cLow) / c
       mua += a; mub += b; va += a * a; vb += b * b; vab += a * b
       i += 1
     }
     mua /= n; mub /= n; va /= n; vb /= n; vab /= n
 
-    // Hoeffding half-widths at level α/5 per parameter (union bound).
-    val lnTerm = math.log(10.0 / alpha)
-    val t  = math.sqrt(lnTerm * c * c / (2.0 * n))
-    val tp = math.sqrt(lnTerm * c * c * c * c / (2.0 * n))
+    // Hoeffding half-width at level α/5 per parameter (union bound); with
+    // C = 1 the means and the second moments share it.
+    val t = math.sqrt(math.log(10.0 / alpha) / (2.0 * n))
 
-    val c2 = c * c
-    val muaLo = math.max(0.0, mua - t);  val muaHi = math.min(c, mua + t)
-    val mubLo = math.max(0.0, mub - t);  val mubHi = math.min(c, mub + t)
-    val vaLo  = math.max(0.0, va - tp);  val vaHi  = math.min(c2, va + tp)
-    val vbLo  = math.max(0.0, vb - tp);  val vbHi  = math.min(c2, vb + tp)
-    val vabLo = math.max(0.0, vab - tp); val vabHi = math.min(c2, vab + tp)
+    val muaLo = math.max(0.0, mua - t);  val muaHi = math.min(1.0, mua + t)
+    val mubLo = math.max(0.0, mub - t);  val mubHi = math.min(1.0, mub + t)
+    val vaLo  = math.max(0.0, va - t);   val vaHi  = math.min(1.0, va + t)
+    val vbLo  = math.max(0.0, vb - t);   val vbHi  = math.min(1.0, vb + t)
+    val vabLo = math.max(0.0, vab - t);  val vabHi = math.min(1.0, vab + t)
 
     val numLow  = vabLo - muaHi * mubHi
     val numHigh = vabHi - muaLo * mubLo

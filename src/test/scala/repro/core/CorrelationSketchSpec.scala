@@ -1,8 +1,8 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class CorrelationSketchSpec extends SparkSpec {
+class CorrelationSketchSpec extends AnyFunSuite {
 
   private def keysOf(n: Int, prefix: String = "k") = Array.tabulate(n)(i => s"$prefix$i")
 

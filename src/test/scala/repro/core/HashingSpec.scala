@@ -1,9 +1,10 @@
 package repro.core
 
 import org.scalacheck.Prop
-import repro.{PropSupport, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
 
-class HashingSpec extends SparkSpec with PropSupport {
+class HashingSpec extends AnyFunSuite with PropSupport {
 
   test("h is deterministic") {
     assert(Hashing.h("2021-01") == Hashing.h("2021-01"))

@@ -1,11 +1,11 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** The KMV-family estimators retained by the sketch (§2.1, §3.3):
   * distinct values, intersection size (Eq. 1) and containment.
   */
-class KmvEstimatorSpec extends SparkSpec {
+class KmvEstimatorSpec extends AnyFunSuite {
 
   private def sketchOf(keys: Seq[String], n: Int): CorrelationSketch =
     CorrelationSketch.fromColumns(keys.toArray, Array.fill(keys.size)(1.0), n)

@@ -1,12 +1,13 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop}
-import repro.{PropSupport, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
 
 /** Merge semantics: distributed partial builds must agree with a
   * sequential scan — the property the Spark aggregator relies on.
   */
-class SketchMergeSpec extends SparkSpec with PropSupport {
+class SketchMergeSpec extends AnyFunSuite with PropSupport {
 
   private val kvGen: Gen[List[(String, Double)]] =
     Gen.listOf(for {

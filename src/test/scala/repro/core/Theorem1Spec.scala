@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{FullJoin, TableGen}
 import repro.stats.Correlations
 
@@ -9,7 +9,7 @@ import repro.stats.Correlations
   * is precisely the m smallest-g(k) keys of the true join, the structural
   * fact the proof establishes) and statistically (estimates converge).
   */
-class Theorem1Spec extends SparkSpec {
+class Theorem1Spec extends AnyFunSuite {
 
   private def sbn(i: Int, n: Int, r: Double, c: Double) =
     TableGen.sbnPair(s"thm$i", n, r, c, seed = 1000L + i)

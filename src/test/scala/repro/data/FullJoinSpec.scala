@@ -1,11 +1,25 @@
 package repro.data
 
-import org.apache.spark.sql.functions.corr
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.AggFn
 import repro.stats.Correlations
 
 class FullJoinSpec extends SparkSpec {
+
+  /** DataFrame version of the aggregated join, for oracle-checked tests:
+    * mean-aggregate each side's finite values per key, inner-join on the
+    * key, and return columns (k, x, y). Semantics must match
+    * [[FullJoin.joinedColumns]].
+    */
+  private def joinedDF(spark: SparkSession, a: KVTable, b: KVTable): DataFrame = {
+    def finite(t: KVTable) = TableGen.toDF(spark, Seq(t))
+      .filter(!isnan(col("value")) && abs(col("value")) =!= Double.PositiveInfinity)
+    val dfA = finite(a).groupBy(col("key").as("k")).agg(avg("value").as("x"))
+    val dfB = finite(b).groupBy(col("key").as("kb")).agg(avg("value").as("y"))
+    dfA.join(dfB, col("k") === col("kb")).select(col("k"), col("x"), col("y"))
+  }
 
   private val tx = KVTable("tx",
     Array("2021-01", "2021-02", "2021-03", "2021-04", "2021-05", "2021-06", "2021-07"),
@@ -58,7 +72,7 @@ class FullJoinSpec extends SparkSpec {
   }
 
   test("Spark joinedDF matches the local join (oracle-checked vs DuckDB)") {
-    val sparkDf = FullJoin.joinedDF(spark, tx, ty)
+    val sparkDf = joinedDF(spark, tx, ty)
     Oracle.assertEquivalent(sparkDf,
       """WITH ax AS (SELECT key AS k, AVG(CAST(value AS DOUBLE)) AS x FROM tx GROUP BY key),
         |     bx AS (SELECT key AS kb, AVG(CAST(value AS DOUBLE)) AS y FROM ty GROUP BY key)
@@ -68,7 +82,7 @@ class FullJoinSpec extends SparkSpec {
   }
 
   test("Spark post-join correlation matches DuckDB corr (oracle-checked)") {
-    val sparkDf = FullJoin.joinedDF(spark, tx, ty).agg(corr("x", "y").as("c"))
+    val sparkDf = joinedDF(spark, tx, ty).agg(corr("x", "y").as("c"))
     Oracle.assertEquivalent(sparkDf,
       """WITH ax AS (SELECT key AS k, AVG(CAST(value AS DOUBLE)) AS x FROM tx GROUP BY key),
         |     bx AS (SELECT key AS kb, AVG(CAST(value AS DOUBLE)) AS y FROM ty GROUP BY key)
@@ -79,7 +93,7 @@ class FullJoinSpec extends SparkSpec {
 
   test("local ground-truth correlation equals the Spark/DuckDB-checked value") {
     val rLocal = FullJoin.correlation(tx, ty)(Correlations.pearson)
-    val rSpark = FullJoin.joinedDF(spark, tx, ty).agg(corr("x", "y"))
+    val rSpark = joinedDF(spark, tx, ty).agg(corr("x", "y"))
       .collect()(0).getDouble(0)
     assert(math.abs(rLocal - rSpark) < 1e-9)
   }
@@ -91,7 +105,7 @@ class FullJoinSpec extends SparkSpec {
     val (xs, ys) = FullJoin.joinedColumns(tx, ty)
     val (dxs, dys) = FullJoin.joinedColumns(tx, dirty)
     assert(dxs.toSeq == xs.toSeq && dys.toSeq == ys.toSeq)
-    val rows = (t: KVTable) => FullJoin.joinedDF(spark, tx, t).collect()
+    val rows = (t: KVTable) => joinedDF(spark, tx, t).collect()
       .map(r => (r.getString(0), r.getDouble(1), r.getDouble(2))).sortBy(_._1).toSeq
     assert(rows(dirty) == rows(ty))
   }
@@ -99,7 +113,7 @@ class FullJoinSpec extends SparkSpec {
   test("local and Spark joins agree on a larger generated pair") {
     val p = TableGen.sbnPair("fj", n = 500, targetR = 0.4, joinProb = 0.7, seed = 12L)
     val (xs, ys) = FullJoin.joinedColumns(p.x, p.y)
-    val rows = FullJoin.joinedDF(spark, p.x, p.y).collect()
+    val rows = joinedDF(spark, p.x, p.y).collect()
       .map(r => (r.getString(0), r.getDouble(1), r.getDouble(2)))
       .sortBy(_._1)
     assert(rows.length == xs.length)

@@ -1,9 +1,9 @@
 package repro.eval
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.TableGen
 
-class AccuracyEvalSpec extends SparkSpec {
+class AccuracyEvalSpec extends AnyFunSuite {
 
   private lazy val pairs = TableGen.sbn(25, 500, 4000, seed = 66L).map(p => (p.x, p.y))
   private lazy val obs = AccuracyEval.observe(pairs, Seq(64, 256))

@@ -1,8 +1,8 @@
 package repro.eval
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class TimingEvalSpec extends SparkSpec {
+class TimingEvalSpec extends AnyFunSuite {
 
   private lazy val workload = TimingEval.workload(pairs = 30, minN = 100, maxN = 20000, seed = 3L)
   private lazy val table = TimingEval.run(workload, sketchSize = 128, warmup = 5)

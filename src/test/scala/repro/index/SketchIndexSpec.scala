@@ -1,9 +1,9 @@
 package repro.index
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.CorrelationSketch
 
-class SketchIndexSpec extends SparkSpec {
+class SketchIndexSpec extends AnyFunSuite {
 
   private def sk(keys: Seq[String], n: Int = 32) =
     CorrelationSketch.fromColumns(keys.toArray, Array.fill(keys.size)(1.0), n)

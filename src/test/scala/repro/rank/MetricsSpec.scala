@@ -1,8 +1,8 @@
 package repro.rank
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class MetricsSpec extends SparkSpec {
+class MetricsSpec extends AnyFunSuite {
 
   test("AP of a perfect ranking is 1") {
     assert(Metrics.averagePrecision(Seq(true, true, false, false)) == 1.0)

@@ -1,9 +1,10 @@
 package repro.rank
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.CorrelationSketch
+import repro.data.{FullJoin, KVTable}
 
-class ScoringSpec extends SparkSpec {
+class ScoringSpec extends AnyFunSuite {
 
   private def cand(id: String, n: Int = 50, rp: Double = 0.5, rb: Double = 0.5,
                    pm1Low: Double = 0.3, pm1High: Double = 0.7,
@@ -120,6 +121,26 @@ class ScoringSpec extends SparkSpec {
     Ranker.all.foreach { r =>
       val ranked = Scoring.rank(cands, r)
       assert(ranked.map(_._1).sorted == cands.map(_.id).sorted.toSeq, s"ranker ${r.name}")
+    }
+  }
+
+  test("empty, constant and one-key columns score finitely in [0, 1] under every ranker") {
+    val keys = Array.tabulate(200)(i => s"ek$i")
+    val tables = Seq(
+      KVTable("empty", Array.empty, Array.empty),
+      KVTable("constant", keys, Array.fill(200)(3.0)),
+      KVTable("one-key", Array.fill(200)("ek7"), Array.tabulate(200)(_.toDouble)),
+      KVTable("normal", keys, Array.tabulate(200)(i => math.sin(i.toDouble))))
+    val sketches = tables.map(t => t.id -> CorrelationSketch.fromColumns(t.keys, t.values, 64)).toMap
+    for (q <- tables) {
+      val cands = tables.map(c => CandidateEstimates(c.id, sketches(q.id), sketches(c.id),
+        jcExact = FullJoin.jaccardContainment(q, c), seed = 1L))
+      Ranker.all.foreach { r =>
+        val ranked = Scoring.rank(cands, r)
+        assert(ranked.size == tables.size)
+        assert(ranked.forall { case (_, s) => s >= 0.0 && s <= 1.0 },
+          s"query ${q.id}, ranker ${r.name}: $ranked")
+      }
     }
   }
 }

@@ -1,8 +1,8 @@
 package repro.stats
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class BootstrapSpec extends SparkSpec {
+class BootstrapSpec extends AnyFunSuite {
 
   private def bivariate(n: Int, r: Double, seed: Long): (Array[Double], Array[Double]) = {
     val rng = new java.util.SplittableRandom(seed)

@@ -1,8 +1,8 @@
 package repro.stats
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class ConfidenceBoundsSpec extends SparkSpec {
+class ConfidenceBoundsSpec extends AnyFunSuite {
 
   private def bounded(n: Int, r: Double, seed: Long): (Array[Double], Array[Double]) = {
     // Correlated pairs mapped into [0, 1] via the normal CDF — bounded data,
@@ -113,5 +113,18 @@ class ConfidenceBoundsSpec extends SparkSpec {
     val l1 = ConfidenceBounds.hoeffding(x1, y1, 0.0, 1.0).hfdLength
     val l2 = ConfidenceBounds.hoeffding(x2, y2, 0.0, 1.0).hfdLength
     assert(l2 < l1)
+  }
+
+  test("bounds are invariant to the scale of the values, also where C⁴ overflows") {
+    val (x, y) = bounded(10000, 0.9, 11L)
+    val (cLow, cHigh) = (-0.25, 1.0)
+    val base = ConfidenceBounds.hoeffding(x, y, cLow, cHigh)
+    assert(base.rhoLow > -1.0 && java.lang.Double.isFinite(base.hfdLength), s"$base")
+    for (s <- Seq(1e-100, 1e100, 1e150)) {
+      val h = ConfidenceBounds.hoeffding(x.map(_ * s), y.map(_ * s), cLow * s, cHigh * s)
+      def close(a: Double, b: Double) = math.abs(a - b) <= 1e-9 * math.abs(b)
+      assert(close(h.rhoLow, base.rhoLow) && close(h.rhoHigh, base.rhoHigh) &&
+        close(h.hfdLow, base.hfdLow) && close(h.hfdHigh, base.hfdHigh), s"scale $s: $h vs $base")
+    }
   }
 }

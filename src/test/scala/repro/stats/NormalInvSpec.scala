@@ -1,9 +1,10 @@
 package repro.stats
 
 import org.scalacheck.{Gen, Prop}
-import repro.{PropSupport, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
 
-class NormalInvSpec extends SparkSpec with PropSupport {
+class NormalInvSpec extends AnyFunSuite with PropSupport {
 
   test("icdf of the median is zero") {
     assert(math.abs(NormalInv.icdf(0.5)) < 1e-12)

@@ -1,8 +1,8 @@
 package repro.stats
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class QnSpec extends SparkSpec {
+class QnSpec extends AnyFunSuite {
 
   private val rng = new java.util.SplittableRandom(33)
   private def gaussian() = {

@@ -1,9 +1,10 @@
 package repro.stats
 
 import org.scalacheck.{Gen, Prop}
-import repro.{PropSupport, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
 
-class RanksSpec extends SparkSpec with PropSupport {
+class RanksSpec extends AnyFunSuite with PropSupport {
 
   test("ranks of distinct values are the 1..n permutation") {
     assert(Ranks.averageRanks(Array(30.0, 10.0, 20.0)).toSeq == Seq(3.0, 1.0, 2.0))

@@ -1,8 +1,8 @@
 package repro.stats
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class SpearmanRinSpec extends SparkSpec {
+class SpearmanRinSpec extends AnyFunSuite {
 
   private val rng = new java.util.SplittableRandom(21)
 
