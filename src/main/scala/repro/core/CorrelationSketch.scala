@@ -96,7 +96,6 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
     if (entries.size > maxSize) prune()
     val sorted = entries.toArray.sortBy(_._1) // by key hash, for O(n) merge-intersection
     CorrelationSketch(
-      maxSize = maxSize,
       keyHashes = sorted.map(_._1),
       values = sorted.map { case (_, st) => agg.finalize(st.sum, st.count, st.min, st.max) },
       xMin = if (rows == 0) Double.NaN else xMin,
@@ -107,16 +106,16 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
   }
 }
 
-/** Immutable correlation sketch L⟨K,X⟩ (§3.1): the `maxSize` tuples
-  * ⟨h(k), x_k⟩ with minimum hu(h(k)), the column's global value range and
-  * row count, and whether the sketch holds *all* distinct keys (`exact`).
+/** Immutable correlation sketch L⟨K,X⟩ (§3.1): the tuples ⟨h(k), x_k⟩
+  * with minimum hu(h(k)), as many as the building [[SketchBuffer]]'s
+  * `maxSize` allows, the column's global value range and row count, and
+  * whether the sketch holds *all* distinct keys (`exact`).
   *
   * `keyHashes` is sorted ascending; `values(i)` is the aggregated numeric
   * value for `keyHashes(i)`. hu values are never stored — they are
   * recomputed from the key hash (Fig. 2 in the paper).
   */
 final case class CorrelationSketch(
-    maxSize: Int,
     keyHashes: Array[Int],
     values: Array[Double],
     xMin: Double,
@@ -190,28 +189,45 @@ object CorrelationSketch {
       cLow = math.min(a.xMin, b.xMin), cHigh = math.max(a.xMax, b.xMax))
   }
 
-  /** Number of common key hashes, K∩ restricted to the combined bottom-k
-    * sketch L = L_A ⊕ L_B with k = min(k_A, k_B) (§2.1). Returns (K∩, k,
-    * U(k)) for use in the intersection estimator.
-    */
-  private def combinedIntersection(a: CorrelationSketch, b: CorrelationSketch): (Int, Int, Double) = {
-    val k = math.min(a.size, b.size)
-    if (k == 0) return (0, 0, 1.0)
-    // Union of hashes, ranked by hu; keep the k smallest, count those in both.
-    val union = (a.keyHashes ++ b.keyHashes).distinct
-    val bottomK = union.sortBy(h => (Hashing.hu(h), h)).take(k)
-    val kInter = bottomK.count(h => a.contains(h) && b.contains(h))
-    val uK = Hashing.hu(bottomK.last)
-    (kInter, k, uK)
-  }
-
-  /** Estimate of |K_A ∩ K_B| via Eq. 1: D̂∩ = (K∩/k)·(k−1)/U(k). Exact when
-    * both sketches are exact.
+  /** Estimate of |K_A ∩ K_B| via Eq. 1: D̂∩ = (K∩/k)·(k−1)/U(k), where K∩
+    * counts the common keys of the combined bottom-k sketch L = L_A ⊕ L_B
+    * with k = min(k_A, k_B) (§2.1), ranked by (hu, hash). Exact when both
+    * sketches are exact.
     */
   def intersectionEstimate(a: CorrelationSketch, b: CorrelationSketch): Double = {
     if (a.isEmpty || b.isEmpty) return 0.0
-    if (a.exact && b.exact) return join(a, b).n.toDouble
-    val (kInter, k, uK) = combinedIntersection(a, b)
+    // One merge of the hash-sorted arrays: hu of each union key, in hash
+    // order, and whether both sketches hold it.
+    val us = new Array[Double](a.size + b.size)
+    val inBoth = new Array[Boolean](us.length)
+    var m = 0; var common = 0
+    var i = 0; var j = 0
+    while (i < a.size && j < b.size) {
+      val ha = a.keyHashes(i); val hb = b.keyHashes(j)
+      if (ha < hb) { us(m) = Hashing.hu(ha); i += 1 }
+      else if (hb < ha) { us(m) = Hashing.hu(hb); j += 1 }
+      else { us(m) = Hashing.hu(ha); inBoth(m) = true; common += 1; i += 1; j += 1 }
+      m += 1
+    }
+    while (i < a.size) { us(m) = Hashing.hu(a.keyHashes(i)); i += 1; m += 1 }
+    while (j < b.size) { us(m) = Hashing.hu(b.keyHashes(j)); j += 1; m += 1 }
+    if (a.exact && b.exact) return common.toDouble
+    // U(k) is the k-th smallest hu of the union; of the keys tied at U(k),
+    // the bottom-k keeps the k − below smallest hashes, met first in hash order.
+    val k = math.min(a.size, b.size)
+    val sorted = java.util.Arrays.copyOf(us, m)
+    java.util.Arrays.sort(sorted)
+    val uK = sorted(k - 1)
+    var below = k - 1
+    while (below > 0 && sorted(below - 1) == uK) below -= 1
+    var kInter = 0; var tied = 0
+    var t = 0
+    while (t < m) {
+      val u = us(t)
+      if (u == uK) { if (inBoth(t) && tied < k - below) kInter += 1; tied += 1 }
+      else if (u < uK && inBoth(t)) kInter += 1
+      t += 1
+    }
     if (k <= 1) kInter.toDouble
     else kInter.toDouble / k * ((k - 1).toDouble / uK)
   }

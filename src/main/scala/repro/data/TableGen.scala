@@ -10,7 +10,7 @@ import java.util.SplittableRandom
   */
 final case class KVTable(id: String, keys: Array[String], values: Array[Double]) {
   def rows: Int = keys.length
-  def distinctKeys: Set[String] = keys.toSet
+  lazy val distinctKeys: Set[String] = keys.toSet
 }
 
 /** A generated SBN pair with its target population correlation (§5.1). */
@@ -81,15 +81,16 @@ object TableGen {
       maxKeys: Int = 1500,
       /** probability a pair is strongly driven by the group's latent signal */
       strongFraction: Double = 0.25,
-      /** fraction of heavy-tailed (lognormal) value columns */
-      lognormalFraction: Double = 0.25,
-      /** probability a value is replaced by an extreme outlier */
-      outlierRate: Double = 0.005,
-      /** probability a key row is duplicated (exercises aggregation) */
-      duplicateRate: Double = 0.15,
       /** minimum fraction of the group key domain a pair retains */
       minKeep: Double = 0.3,
   )
+
+  /** fraction of heavy-tailed (lognormal) value columns */
+  private val LognormalFraction = 0.25
+  /** probability a value is replaced by an extreme outlier */
+  private val OutlierRate = 0.005
+  /** probability a key row is duplicated (exercises aggregation) */
+  private val DuplicateRate = 0.15
 
   /** NYC-Open-Data-like collection: groups of column pairs that share a key
     * domain (joinable within a group, disjoint across groups) and a latent
@@ -113,7 +114,7 @@ object TableGen {
         val alpha =
           if (rng.nextDouble() < cfg.strongFraction) 0.9 + 0.1 * rng.nextDouble()
           else 0.5 * math.pow(rng.nextDouble(), 2.0) // mass near zero
-        val lognormal = rng.nextDouble() < cfg.lognormalFraction
+        val lognormal = rng.nextDouble() < LognormalFraction
         val keep = cfg.minKeep + (1.0 - cfg.minKeep) * rng.nextDouble()
         val beta = math.sqrt(math.max(0.0, 1.0 - alpha * alpha))
         val ks = Array.newBuilder[String]
@@ -122,12 +123,12 @@ object TableGen {
         while (i < nKeys) {
           if (rng.nextDouble() < keep) {
             var reps = 1
-            if (rng.nextDouble() < cfg.duplicateRate) reps += 1 + rng.nextInt(2)
+            if (rng.nextDouble() < DuplicateRate) reps += 1 + rng.nextInt(2)
             var t = 0
             while (t < reps) {
               var v = alpha * z(i) + beta * gaussian(rng)
               if (lognormal) v = math.exp(v) * 100.0
-              if (rng.nextDouble() < cfg.outlierRate) v *= 50.0
+              if (rng.nextDouble() < OutlierRate) v *= 50.0
               ks += domain(i)
               vs += v
               t += 1

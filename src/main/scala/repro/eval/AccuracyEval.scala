@@ -28,18 +28,22 @@ object AccuracyEval {
   final case class Obs(estimator: String, sketchSize: Int, joinSize: Int,
                        estimate: Double, truth: Double)
 
+  private val QnCap = 2000
+  /** Least sketch-join size of an observation (Fig. 3 plots n ≥ 3). */
+  private val MinJoin = 3
+
   /** Population truth for one estimator over the full join. Two estimators
     * need special handling (as in §5.3): PM1 is compared against the
     * population *Pearson* correlation it intends to estimate, and Qn —
     * O(n²) in the sample size — is evaluated on a strided subsample capped
-    * at `qnCap` rows (its own sampling noise at 2000 rows is ≈0.02, far
+    * at [[QnCap]] rows (its own sampling noise at 2000 rows is ≈0.02, far
     * below the sketch RMSE being measured).
     */
-  private def populationTruth(est: EstimatorSpec, xs: Array[Double], ys: Array[Double],
-                              qnCap: Int = 2000): Double = est.name match {
+  private def populationTruth(est: EstimatorSpec, xs: Array[Double],
+                              ys: Array[Double]): Double = est.name match {
     case "pm1" => Correlations.pearson(xs, ys)
-    case "qn" if xs.length > qnCap =>
-      val stride = xs.length / qnCap + 1
+    case "qn" if xs.length > QnCap =>
+      val stride = xs.length / QnCap + 1
       val sx = xs.indices.by(stride).map(xs(_)).toArray
       val sy = ys.indices.by(stride).map(ys(_)).toArray
       Correlations.qnCorrelation(sx, sy)
@@ -47,12 +51,11 @@ object AccuracyEval {
   }
 
   /** Compare sketch estimates against full-join truth for every estimator
-    * and sketch size. Pairs whose sketch join has fewer than `minJoin`
-    * rows are kept (they appear in Fig. 3 with n ≥ 3) but can be filtered
-    * downstream. Population truths are computed once per pair.
+    * and sketch size. A (pair, sketch size) whose sketch join has fewer
+    * than [[MinJoin]] rows yields no observation. Population truths are
+    * computed once per pair.
     */
-  def observe(pairs: Seq[(KVTable, KVTable)], sketchSizes: Seq[Int],
-              minJoin: Int = 3): Seq[Obs] = {
+  def observe(pairs: Seq[(KVTable, KVTable)], sketchSizes: Seq[Int]): Seq[Obs] = {
     pairs.flatMap { case (a, b) =>
       val (xs, ys) = FullJoin.joinedColumns(a, b)
       val truths = estimators.map(est => est.name -> populationTruth(est, xs, ys)).toMap
@@ -60,7 +63,7 @@ object AccuracyEval {
         val ska = CorrelationSketch.fromColumns(a.keys, a.values, n)
         val skb = CorrelationSketch.fromColumns(b.keys, b.values, n)
         val sj = CorrelationSketch.join(ska, skb)
-        if (sj.n < minJoin) Seq.empty
+        if (sj.n < MinJoin) Seq.empty
         else estimators.flatMap { est =>
           val truth = truths(est.name)
           val e = est.f(sj.xs, sj.ys)

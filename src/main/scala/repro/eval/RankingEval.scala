@@ -36,17 +36,20 @@ object RankingEval {
   final case class QueryCase(queryId: String, truth: Map[String, Double],
                              cands: Seq[CandidateEstimates])
 
+  private val MinOverlap = 3
+  /** Seeds of the PM1 bootstraps in [[buildCases]] and the random ranker in [[evaluate]]. */
+  private val CaseSeed = 101L
+  private val RankSeed = 7L
+
   /** Build the per-query candidate lists. Candidates are the *truly
-    * joinable* tables (exact key overlap ≥ minOverlap, as in §5.4 where all
-    * joinable columns are retrieved per query), excluding the query itself.
-    * Ground-truth relevance is the absolute Pearson correlation of the
-    * full aggregated join.
+    * joinable* tables (exact key overlap ≥ [[MinOverlap]], as in §5.4 where
+    * all joinable columns are retrieved per query), excluding the query
+    * itself. Ground-truth relevance is the absolute Pearson correlation of
+    * the full aggregated join.
     */
-  def buildCases(tables: Seq[KVTable], sketches: Map[String, CorrelationSketch],
-                 minOverlap: Int = 3, seed: Long = 101L): Seq[QueryCase] = {
-    val byId = tables.map(t => t.id -> t).toMap
+  def buildCases(tables: Seq[KVTable], sketches: Map[String, CorrelationSketch]): Seq[QueryCase] = {
     tables.flatMap { q =>
-      val candidates = tables.filter(c => c.id != q.id && FullJoin.keyOverlap(q, c) >= minOverlap)
+      val candidates = tables.filter(c => c.id != q.id && FullJoin.keyOverlap(q, c) >= MinOverlap)
       if (candidates.isEmpty) None
       else {
         val truth = candidates.map { c =>
@@ -56,7 +59,7 @@ object RankingEval {
         val ests = candidates.map { c =>
           CandidateEstimates(c.id, sketches(q.id), sketches(c.id),
             jcExact = FullJoin.jaccardContainment(q, c),
-            seed = seed ^ (q.id + c.id).hashCode.toLong)
+            seed = CaseSeed ^ (q.id + c.id).hashCode.toLong)
         }
         Some(QueryCase(q.id, truth, ests))
       }
@@ -64,10 +67,10 @@ object RankingEval {
   }
 
   /** Score all cases under all rankers and aggregate the four metrics. */
-  def evaluate(cases: Seq[QueryCase], seed: Long = 7L): Result = {
+  def evaluate(cases: Seq[QueryCase]): Result = {
     val scores = Ranker.all.map { ranker =>
       val perQuery = cases.map { qc =>
-        val rankedIds = Scoring.rank(qc.cands, ranker, seed ^ qc.queryId.hashCode.toLong)
+        val rankedIds = Scoring.rank(qc.cands, ranker, RankSeed ^ qc.queryId.hashCode.toLong)
           .map(_._1)
         val gains = rankedIds.map(qc.truth)
         (

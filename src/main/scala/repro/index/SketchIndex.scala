@@ -13,7 +13,6 @@ import scala.collection.mutable
 final class SketchIndex(val sketches: Map[String, CorrelationSketch]) {
 
   private val ids: Array[String] = sketches.keys.toArray.sorted
-  private val idOf: Map[String, Int] = ids.zipWithIndex.toMap
   private val postings: mutable.HashMap[Int, mutable.ArrayBuffer[Int]] = {
     val m = new mutable.HashMap[Int, mutable.ArrayBuffer[Int]]
     var i = 0
@@ -29,12 +28,10 @@ final class SketchIndex(val sketches: Map[String, CorrelationSketch]) {
 
   import SketchIndex.Hit
 
-  /** Top-N candidates by sketch key-hash overlap with `query`, excluding
-    * ids in `exclude` (typically the query's own table). Deterministic
-    * tie-break on id.
+  /** Top-N candidates by sketch key-hash overlap with `query`.
+    * Deterministic tie-break on id.
     */
-  def search(query: CorrelationSketch, topN: Int,
-             exclude: Set[String] = Set.empty): Seq[Hit] = {
+  def search(query: CorrelationSketch, topN: Int): Seq[Hit] = {
     val counts = new Array[Int](ids.length)
     query.keyHashes.foreach { h =>
       postings.get(h).foreach(_.foreach(counts(_) += 1))
@@ -42,7 +39,7 @@ final class SketchIndex(val sketches: Map[String, CorrelationSketch]) {
     val hits = mutable.ArrayBuffer.empty[Hit]
     var i = 0
     while (i < counts.length) {
-      if (counts(i) > 0 && !exclude.contains(ids(i))) hits += Hit(ids(i), counts(i))
+      if (counts(i) > 0) hits += Hit(ids(i), counts(i))
       i += 1
     }
     hits.sortBy(h => (-h.overlap, h.id)).take(topN).toSeq

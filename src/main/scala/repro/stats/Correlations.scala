@@ -86,6 +86,9 @@ object Correlations {
     */
   final case class Bootstrap(estimate: Double, ciLow: Double, ciHigh: Double)
 
+  /** PM1's resample count: Wilcox's adjusted percentiles are defined for B = 599 only. */
+  private val B = 599
+
   /** (5) PM1 bootstrap [72 = Wilcox]: B=599 with-replacement resamples of
     * the paired sample; estimate = mean of resample Pearson correlations;
     * CI = Wilcox's sample-size-adjusted percentiles of the sorted resample
@@ -93,23 +96,22 @@ object Correlations {
     * optimization for the same estimator; we use the canonical fixed B
     * (documented in DESIGN.md §4).
     */
-  def pm1Bootstrap(x: Array[Double], y: Array[Double], seed: Long = 42L,
-                   b: Int = 599): Bootstrap = {
+  def pm1Bootstrap(x: Array[Double], y: Array[Double], seed: Long = 42L): Bootstrap = {
     require(x.length == y.length, "paired sample must align")
     val n = x.length
     if (n < 3) return Bootstrap(Double.NaN, -1.0, 1.0)
     val rng = new SplittableRandom(seed)
-    val rs = new Array[Double](b)
+    val rs = new Array[Double](B)
     val bx = new Array[Double](n); val by = new Array[Double](n)
     var t = 0
-    while (t < b) {
+    while (t < B) {
       var i = 0
       while (i < n) { val j = rng.nextInt(n); bx(i) = x(j); by(i) = y(j); i += 1 }
       val r = pearson(bx, by)
       rs(t) = if (r.isNaN) 0.0 else r
       t += 1
     }
-    val mean = rs.sum / b
+    val mean = rs.sum / B
     java.util.Arrays.sort(rs)
     // Wilcox's adjusted percentile indices (1-based) for B = 599.
     val (lo, hi) =
@@ -118,9 +120,6 @@ object Correlations {
       else if (n < 180) (11, 588)
       else if (n < 250) (14, 585)
       else (15, 584)
-    val scale = b / 599.0
-    val iLo = math.max(0, math.min(b - 1, math.round(lo * scale).toInt - 1))
-    val iHi = math.max(0, math.min(b - 1, math.round(hi * scale).toInt - 1))
-    Bootstrap(mean, rs(iLo), rs(iHi))
+    Bootstrap(mean, rs(lo - 1), rs(hi - 1))
   }
 }

@@ -19,7 +19,6 @@ class EndToEndSpec extends SparkSpec {
     seed = 123L)
   private lazy val sketches: Map[String, CorrelationSketch] =
     SparkSketches.buildAll(TableGen.toDF(spark, tables), "pair", "key", "value", 256)
-  private lazy val index = new SketchIndex(sketches)
   private lazy val byId = tables.map(t => t.id -> t).toMap
 
   /** Query whose group contains at least one candidate with |r| > 0.6. */
@@ -36,11 +35,14 @@ class EndToEndSpec extends SparkSpec {
     found.get
   }
 
+  /** Every sketch but the interesting query's own: the indexed corpus. */
+  private lazy val corpus = new SketchIndex(sketches - interestingQuery._1)
+
   /** Sketch-side estimates for the interesting query's top-100 hits. */
   private lazy val cands: Seq[CandidateEstimates] = {
     val qid = interestingQuery._1
-    index.search(sketches(qid), topN = 100, exclude = Set(qid)).map { h =>
-      CandidateEstimates(h.id, sketches(qid), index.sketchOf(h.id),
+    corpus.search(sketches(qid), topN = 100).map { h =>
+      CandidateEstimates(h.id, sketches(qid), corpus.sketchOf(h.id),
         jcExact = FullJoin.jaccardContainment(byId(qid), byId(h.id)), seed = 3L)
     }
   }
@@ -48,7 +50,7 @@ class EndToEndSpec extends SparkSpec {
   test("query retrieval returns only joinable group members") {
     val (qid, _) = interestingQuery
     val g = qid.split(':')(0)
-    val hits = index.search(sketches(qid), topN = 100, exclude = Set(qid))
+    val hits = corpus.search(sketches(qid), topN = 100)
     assert(hits.nonEmpty)
     hits.foreach(h => assert(h.id.startsWith(g + ":"), s"cross-group hit ${h.id}"))
   }
@@ -72,7 +74,6 @@ class EndToEndSpec extends SparkSpec {
 
   test("the timed §5.5 query ranks its hits as the r_p scorer does") {
     val qid = interestingQuery._1
-    val corpus = new SketchIndex(sketches - qid)
     assert(QueryLatencyEval.query(corpus, sketches(qid)) == Scoring.rank(cands, Ranker.Rp).map(_._1))
   }
 

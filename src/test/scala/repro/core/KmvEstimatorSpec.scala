@@ -10,6 +10,34 @@ class KmvEstimatorSpec extends AnyFunSuite {
   private def sketchOf(keys: Seq[String], n: Int): CorrelationSketch =
     CorrelationSketch.fromColumns(keys.toArray, Array.fill(keys.size)(1.0), n)
 
+  private def sketchOfHashes(hashes: Seq[Int], exact: Boolean): CorrelationSketch = {
+    val hs = hashes.distinct.sorted.toArray
+    CorrelationSketch(hs, Array.fill(hs.length)(1.0), xMin = 1.0, xMax = 1.0,
+      exact = exact, rows = hs.length.toLong)
+  }
+
+  /** Eq. 1 as first written: the boxed union of both hash arrays sorted by
+    * (hu, hash) tuples, its bottom-k membership found by binary search, and
+    * a full sketch join to count the exact case.
+    */
+  private def referenceIntersection(a: CorrelationSketch, b: CorrelationSketch): Double = {
+    if (a.isEmpty || b.isEmpty) return 0.0
+    if (a.exact && b.exact) return CorrelationSketch.join(a, b).n.toDouble
+    val k = math.min(a.size, b.size)
+    val union = (a.keyHashes ++ b.keyHashes).distinct
+    val bottomK = union.sortBy(h => (Hashing.hu(h), h)).take(k)
+    val kInter = bottomK.count(h => a.contains(h) && b.contains(h))
+    val uK = Hashing.hu(bottomK.last)
+    if (k <= 1) kInter.toDouble
+    else kInter.toDouble / k * ((k - 1).toDouble / uK)
+  }
+
+  private def assertMatchesReference(a: CorrelationSketch, b: CorrelationSketch): Unit = {
+    assert(CorrelationSketch.intersectionEstimate(a, b) == referenceIntersection(a, b),
+      s"${a.keyHashes.toSeq} (exact ${a.exact}) vs ${b.keyHashes.toSeq} (exact ${b.exact})")
+    assert(CorrelationSketch.intersectionEstimate(b, a) == referenceIntersection(b, a))
+  }
+
   test("distinct estimate is exact for sketches holding all keys") {
     val sk = sketchOf((0 until 37).map(i => s"d$i"), 64)
     assert(sk.distinctEstimate == 37.0)
@@ -39,12 +67,51 @@ class KmvEstimatorSpec extends AnyFunSuite {
     val b = sketchOf((10 until 50).map(i => s"i$i"), 64)
     assert(CorrelationSketch.intersectionEstimate(a, b) == 20.0)
     // hashes of opposite sign more than 2^31 apart must still be ordered right
-    val wide = CorrelationSketch(64, Array(-2000000000, 2000000000), Array(1.0, 2.0),
+    val wide = CorrelationSketch(Array(-2000000000, 2000000000), Array(1.0, 2.0),
       xMin = 1.0, xMax = 2.0, exact = true, rows = 2L)
-    val one = CorrelationSketch(64, Array(2000000000), Array(1.0),
+    val one = CorrelationSketch(Array(2000000000), Array(1.0),
       xMin = 1.0, xMax = 1.0, exact = true, rows = 1L)
     assert(CorrelationSketch.intersectionEstimate(wide, one) == 1.0)
     assert(CorrelationSketch.containmentEstimate(one, wide) == 1.0)
+  }
+
+  test("intersection estimate equals the reference estimator bit for bit") {
+    val rng = new java.util.SplittableRandom(5L)
+    for (trial <- 0 until 1200) {
+      val shared = (trial % 11) / 10.0 // 0%, 10%, ..., 100% shared keys
+      val size = 1 + rng.nextInt(300)
+      val nA = if (trial % 50 == 0) 0 else 1 + rng.nextInt(2 * size) // some empty sides
+      val nB = 1 + rng.nextInt(2 * size)
+      if (trial % 2 == 0) {
+        // arbitrary hash sets, each side independently exact or truncated
+        val hsA = Seq.fill(math.min(nA, size))(rng.nextInt())
+        val nShared = math.round(shared * math.min(hsA.size, size)).toInt
+        val hsB = hsA.take(nShared) ++ Seq.fill(math.min(nB, size) - nShared)(rng.nextInt())
+        assertMatchesReference(sketchOfHashes(hsA, rng.nextBoolean()),
+          sketchOfHashes(hsB, rng.nextBoolean()))
+      } else {
+        // built bottom-k sketches of overlapping key ranges: exact below `size` keys
+        val start = math.round((1.0 - shared) * nA).toInt
+        assertMatchesReference(sketchOf((0 until nA).map(i => s"r$i"), size),
+          sketchOf((start until start + nB).map(i => s"r$i"), size))
+      }
+    }
+    // Pairs of distinct hashes with equal hu: the bottom-k breaks the tie by hash.
+    val ties = Seq((-974566505, 875382632), (-2062619302, -298033407), (-1377896724, 1981316737))
+    var tiedAtUk = 0
+    for ((t1, t2) <- ties) {
+      assert(t1 != t2 && Hashing.hu(t1) == Hashing.hu(t2))
+      for (_ <- 0 until 200) {
+        val pool = Seq(t1, t2) ++ Seq.fill(4)(rng.nextInt())
+        val a = sketchOfHashes(pool.filter(_ => rng.nextBoolean()) :+ pool(rng.nextInt(6)), false)
+        val b = sketchOfHashes(pool.filter(_ => rng.nextBoolean()) :+ pool(rng.nextInt(6)), rng.nextBoolean())
+        val union = (a.keyHashes ++ b.keyHashes).distinct
+        val uK = union.map(Hashing.hu).sorted.apply(math.min(a.size, b.size) - 1)
+        if (union.count(h => Hashing.hu(h) == uK) > 1) tiedAtUk += 1
+        assertMatchesReference(a, b)
+      }
+    }
+    assert(tiedAtUk > 0)
   }
 
   test("intersection estimate approximates true overlap for truncated sketches") {

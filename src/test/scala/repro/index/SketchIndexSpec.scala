@@ -41,11 +41,6 @@ class SketchIndexSpec extends AnyFunSuite {
     assert(index.search(query, topN = 2).map(_.id) == Seq("full", "half"))
   }
 
-  test("exclusions are honored") {
-    val hits = index.search(query, topN = 10, exclude = Set("full"))
-    assert(hits.map(_.id) == Seq("half", "one"))
-  }
-
   test("empty query matches nothing") {
     assert(index.search(sk(Seq.empty), topN = 5).isEmpty)
   }

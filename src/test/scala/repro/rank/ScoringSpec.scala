@@ -130,7 +130,9 @@ class ScoringSpec extends AnyFunSuite {
       KVTable("empty", Array.empty, Array.empty),
       KVTable("constant", keys, Array.fill(200)(3.0)),
       KVTable("one-key", Array.fill(200)("ek7"), Array.tabulate(200)(_.toDouble)),
-      KVTable("normal", keys, Array.tabulate(200)(i => math.sin(i.toDouble))))
+      KVTable("normal", keys, Array.tabulate(200)(i => math.sin(i.toDouble))),
+      // the value range spans 2e308, beyond Double.MaxValue: Hoeffding is vacuous
+      KVTable("huge", keys, Array.tabulate(200)(i => if (i % 3 == 0) -1e308 else 1e308)))
     val sketches = tables.map(t => t.id -> CorrelationSketch.fromColumns(t.keys, t.values, 64)).toMap
     for (q <- tables) {
       val cands = tables.map(c => CandidateEstimates(c.id, sketches(q.id), sketches(c.id),

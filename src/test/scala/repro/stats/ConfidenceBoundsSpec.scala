@@ -32,6 +32,13 @@ class ConfidenceBoundsSpec extends AnyFunSuite {
     assert(ConfidenceBounds.fisherZse(3) == 1.0)
   }
 
+  test("an infinite value range yields the vacuous bounds") {
+    val x = Array(1e308, -1e308, 1e308, -1e308)
+    val y = Array(-1e308, 1e308, 1e308, -1e308)
+    assert(ConfidenceBounds.hoeffding(x, y, -1e308, 1e308) ==
+      ConfidenceBounds.Hoeffding(-1.0, 1.0, Double.NegativeInfinity, Double.PositiveInfinity))
+  }
+
   test("bounds are ordered and within [-1, 1]") {
     val (x, y) = bounded(200, 0.5, 1L)
     val h = ConfidenceBounds.hoeffding(x, y, 0.0, 1.0)
