@@ -172,21 +172,31 @@ object CorrelationSketch {
   }
 
   /** Join two sketches on their key hashes (§3.2, step 1). Both arrays are
-    * sorted by hash, so this is a linear merge-intersection.
+    * sorted by hash, so this is a linear merge-intersection: one pass counts
+    * the common hashes, a second fills arrays of exactly that size.
     */
   def join(a: CorrelationSketch, b: CorrelationSketch): SketchJoin = {
-    val hs = mutable.ArrayBuilder.make[Int]
-    val xs = mutable.ArrayBuilder.make[Double]
-    val ys = mutable.ArrayBuilder.make[Double]
+    val ka = a.keyHashes; val kb = b.keyHashes
+    var n = 0
     var i = 0; var j = 0
-    while (i < a.size && j < b.size) {
-      val ha = a.keyHashes(i); val hb = b.keyHashes(j)
-      if (ha == hb) { hs += ha; xs += a.values(i); ys += b.values(j); i += 1; j += 1 }
+    while (i < ka.length && j < kb.length) {
+      val ha = ka(i); val hb = kb(j)
+      if (ha == hb) { n += 1; i += 1; j += 1 }
       else if (ha < hb) i += 1
       else j += 1
     }
-    SketchJoin(hs.result(), xs.result(), ys.result(),
-      cLow = math.min(a.xMin, b.xMin), cHigh = math.max(a.xMax, b.xMax))
+    val hs = new Array[Int](n)
+    val xs = new Array[Double](n)
+    val ys = new Array[Double](n)
+    var m = 0
+    i = 0; j = 0
+    while (m < n) {
+      val ha = ka(i); val hb = kb(j)
+      if (ha == hb) { hs(m) = ha; xs(m) = a.values(i); ys(m) = b.values(j); m += 1; i += 1; j += 1 }
+      else if (ha < hb) i += 1
+      else j += 1
+    }
+    SketchJoin(hs, xs, ys, cLow = math.min(a.xMin, b.xMin), cHigh = math.max(a.xMax, b.xMax))
   }
 
   /** Estimate of |K_A ∩ K_B| via Eq. 1: D̂∩ = (K∩/k)·(k−1)/U(k), where K∩

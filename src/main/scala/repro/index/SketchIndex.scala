@@ -13,15 +13,16 @@ import scala.collection.mutable
 final class SketchIndex(val sketches: Map[String, CorrelationSketch]) {
 
   private val ids: Array[String] = sketches.keys.toArray.sorted
-  private val postings: mutable.HashMap[Int, mutable.ArrayBuffer[Int]] = {
-    val m = new mutable.HashMap[Int, mutable.ArrayBuffer[Int]]
+  /** Key hash → the indices (into `ids`) of the sketches holding it. */
+  private val postings: mutable.HashMap[Int, Array[Int]] = {
+    val m = new mutable.HashMap[Int, mutable.ArrayBuilder.ofInt]
     var i = 0
     while (i < ids.length) {
       val sk = sketches(ids(i))
-      sk.keyHashes.foreach(h => m.getOrElseUpdate(h, new mutable.ArrayBuffer[Int]) += i)
+      sk.keyHashes.foreach(h => m.getOrElseUpdate(h, new mutable.ArrayBuilder.ofInt) += i)
       i += 1
     }
-    m
+    m.map { case (h, b) => h -> b.result() }
   }
 
   def size: Int = ids.length
@@ -33,8 +34,15 @@ final class SketchIndex(val sketches: Map[String, CorrelationSketch]) {
     */
   def search(query: CorrelationSketch, topN: Int): Seq[Hit] = {
     val counts = new Array[Int](ids.length)
-    query.keyHashes.foreach { h =>
-      postings.get(h).foreach(_.foreach(counts(_) += 1))
+    val qh = query.keyHashes
+    var k = 0
+    while (k < qh.length) {
+      val ps = postings.getOrElse(qh(k), null)
+      if (ps != null) {
+        var p = 0
+        while (p < ps.length) { counts(ps(p)) += 1; p += 1 }
+      }
+      k += 1
     }
     val hits = mutable.ArrayBuffer.empty[Hit]
     var i = 0

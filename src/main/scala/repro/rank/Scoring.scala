@@ -1,47 +1,65 @@
 package repro.rank
 
-import repro.core.{CorrelationSketch, SketchJoin}
+import repro.core.CorrelationSketch
 import repro.stats.{ConfidenceBounds, Correlations}
 
 import java.util.SplittableRandom
 
 /** Everything a scoring function may consume about one query/candidate
-  * pair, precomputed once from the sketch join (§4.4). `jcExact` is the
-  * ground-truth Jaccard containment baseline and is injected by the
-  * evaluation harness (it requires the full data, like the paper's `jc`).
+  * pair (§4.4). Each estimate is computed the first time it is read and
+  * kept, so a ranker pays only for what it scores: s1, s2 and s4 never run
+  * the PM1 bootstrap or ĵc. `jcExact` is the ground-truth Jaccard
+  * containment baseline and is injected by the evaluation harness (it
+  * requires the full data, like the paper's `jc`).
   */
-final case class CandidateEstimates(
-    id: String,
-    n: Int,
-    rp: Double,
-    rb: Double,
-    pm1Low: Double,
-    pm1High: Double,
-    hfdLength: Double,
-    jcEst: Double,
-    jcExact: Double,
-)
+final class CandidateEstimates(
+    val id: String,
+    val n: Int,
+    rp0: => Double,
+    rb0: => Double,
+    pm1Low0: => Double,
+    pm1High0: => Double,
+    hfdLength0: => Double,
+    jcEst0: => Double,
+    val jcExact: Double,
+) {
+  lazy val rp: Double = rp0
+  lazy val rb: Double = rb0
+  lazy val pm1Low: Double = pm1Low0
+  lazy val pm1High: Double = pm1High0
+  lazy val hfdLength: Double = hfdLength0
+  lazy val jcEst: Double = jcEst0
+
+  /** A copy with some fields replaced; the others stay unevaluated until read. */
+  def copy(id: String = id, n: Int = n, rp: => Double = rp, rb: => Double = rb,
+           pm1Low: => Double = pm1Low, pm1High: => Double = pm1High,
+           hfdLength: => Double = hfdLength, jcEst: => Double = jcEst,
+           jcExact: Double = jcExact): CandidateEstimates =
+    new CandidateEstimates(id, n, rp, rb, pm1Low, pm1High, hfdLength, jcEst, jcExact)
+}
 
 object CandidateEstimates {
 
-  /** Compute all sketch-side estimates for a query/candidate sketch pair. */
+  /** Estimates whose values are already known. */
+  def apply(id: String, n: Int, rp: Double, rb: Double, pm1Low: Double, pm1High: Double,
+            hfdLength: Double, jcEst: Double, jcExact: Double): CandidateEstimates =
+    new CandidateEstimates(id, n, rp, rb, pm1Low, pm1High, hfdLength, jcEst, jcExact)
+
+  /** Sketch-side estimates for a query/candidate sketch pair over their
+    * sketch join; one PM1 bootstrap backs `rb`, `pm1Low` and `pm1High`.
+    */
   def apply(id: String, query: CorrelationSketch, cand: CorrelationSketch,
             jcExact: Double, seed: Long): CandidateEstimates = {
-    val sj: SketchJoin = CorrelationSketch.join(query, cand)
-    val rp = Correlations.pearson(sj.xs, sj.ys)
-    val boot = Correlations.pm1Bootstrap(sj.xs, sj.ys, seed)
-    val hfd = ConfidenceBounds.hoeffding(sj.xs, sj.ys, sj.cLow, sj.cHigh)
-    CandidateEstimates(
-      id = id,
-      n = sj.n,
-      rp = rp,
-      rb = boot.estimate,
-      pm1Low = boot.ciLow,
-      pm1High = boot.ciHigh,
-      hfdLength = hfd.hfdLength,
-      jcEst = CorrelationSketch.containmentEstimate(query, cand),
-      jcExact = jcExact,
-    )
+    val sj = CorrelationSketch.join(query, cand)
+    lazy val boot = Correlations.pm1Bootstrap(sj.xs, sj.ys, seed)
+    new CandidateEstimates(id, sj.n,
+      rp0 = Correlations.pearson(sj.xs, sj.ys),
+      rb0 = boot.estimate,
+      pm1Low0 = boot.ciLow,
+      pm1High0 = boot.ciHigh,
+      hfdLength0 = ConfidenceBounds.hoeffding(sj.xs, sj.ys, sj.cLow, sj.cHigh).hfdLength,
+      jcEst0 = CorrelationSketch.containmentEstimate(query, cand),
+      jcExact = jcExact)
   }
 }
 

@@ -145,6 +145,63 @@ class CorrelationSketchSpec extends AnyFunSuite {
     assert(CorrelationSketch.join(a, b).n == 0)
   }
 
+  /** The sketch join as first written: one merge appending to three doubling builders. */
+  private def referenceJoin(a: CorrelationSketch, b: CorrelationSketch): SketchJoin = {
+    val hs = scala.collection.mutable.ArrayBuilder.make[Int]
+    val xs = scala.collection.mutable.ArrayBuilder.make[Double]
+    val ys = scala.collection.mutable.ArrayBuilder.make[Double]
+    var i = 0; var j = 0
+    while (i < a.size && j < b.size) {
+      val ha = a.keyHashes(i); val hb = b.keyHashes(j)
+      if (ha == hb) { hs += ha; xs += a.values(i); ys += b.values(j); i += 1; j += 1 }
+      else if (ha < hb) i += 1
+      else j += 1
+    }
+    SketchJoin(hs.result(), xs.result(), ys.result(),
+      cLow = math.min(a.xMin, b.xMin), cHigh = math.max(a.xMax, b.xMax))
+  }
+
+  test("sketch join equals the builder-based merge and fills exact-size arrays") {
+    val rng = new java.util.SplittableRandom(17L)
+    def sketchOf(keys: Seq[String], size: Int): CorrelationSketch =
+      CorrelationSketch.fromColumns(keys.toArray, Array.fill(keys.size)(rng.nextGaussian()), size)
+    def check(a: CorrelationSketch, b: CorrelationSketch): SketchJoin = {
+      val got = CorrelationSketch.join(a, b)
+      val want = referenceJoin(a, b)
+      assert(got.keyHashes.sameElements(want.keyHashes) && got.xs.sameElements(want.xs) &&
+        got.ys.sameElements(want.ys), s"${a.keyHashes.toSeq} vs ${b.keyHashes.toSeq}")
+      // an empty side has a NaN range, so NaN counts as equal to NaN
+      def same(x: Double, y: Double) = x == y || (x.isNaN && y.isNaN)
+      assert(same(got.cLow, want.cLow) && same(got.cHigh, want.cHigh))
+      assert(got.keyHashes.length == want.n && got.xs.length == want.n && got.ys.length == want.n)
+      got
+    }
+    val empty = sketchOf(Seq.empty, 16)
+    var negAndPos = 0; var truncated = 0
+    for (trial <- 0 until 1200) {
+      val size = 1 + rng.nextInt(300)
+      val nA = rng.nextInt(2 * size + 1)
+      val nB = rng.nextInt(2 * size + 1)
+      val start = if (trial % 4 == 0) nA else rng.nextInt(nA + 1) // every 4th pair is disjoint
+      val a = sketchOf((0 until nA).map(i => s"j$i"), size)
+      val b = sketchOf((start until start + nB).map(i => s"j$i"), 1 + rng.nextInt(300))
+      val sj = check(a, b)
+      if (trial % 4 == 0) assert(sj.n == 0)
+      check(b, a)
+      assert(check(a, a).n == a.size) // identical
+      check(a, empty); check(empty, a)
+      if (sj.keyHashes.exists(_ < 0) && sj.keyHashes.exists(_ > 0)) negAndPos += 1
+      if (!a.exact && !b.exact) truncated += 1
+    }
+    assert(negAndPos > 100 && truncated > 100)
+    // the merge compares signed hashes: extremes and ±1 around zero
+    def ofHashes(hs: Int*): CorrelationSketch =
+      CorrelationSketch(hs.toArray, hs.map(_ => rng.nextGaussian()).toArray, -3.0, 3.0, exact = true, rows = hs.size)
+    val a = ofHashes(Int.MinValue, -5, -1, 0, 3, Int.MaxValue)
+    val b = ofHashes(Int.MinValue, -1, 1, 3, 5, Int.MaxValue)
+    assert(check(a, b).n == 4 && check(b, a).n == 4)
+  }
+
   test("aggregation happens before selection truncation interacts with values") {
     // A repeated key kept in the sketch aggregates across ALL occurrences
     // even when thousands of other keys churn the buffer in between.

@@ -2,7 +2,10 @@ package repro.rank
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.CorrelationSketch
-import repro.data.{FullJoin, KVTable}
+import repro.data.{FullJoin, KVTable, TableGen}
+import repro.eval.RankingEval
+import repro.index.SketchIndex
+import repro.stats.{ConfidenceBounds, Correlations}
 
 class ScoringSpec extends AnyFunSuite {
 
@@ -144,5 +147,61 @@ class ScoringSpec extends AnyFunSuite {
           s"query ${q.id}, ranker ${r.name}: $ranked")
       }
     }
+  }
+
+  /** `CandidateEstimates.apply` as first written: every estimate computed up front. */
+  private def eagerEstimates(id: String, query: CorrelationSketch, cand: CorrelationSketch,
+                             jcExact: Double, seed: Long): CandidateEstimates = {
+    val sj = CorrelationSketch.join(query, cand)
+    val rp = Correlations.pearson(sj.xs, sj.ys)
+    val boot = Correlations.pm1Bootstrap(sj.xs, sj.ys, seed)
+    val hfd = ConfidenceBounds.hoeffding(sj.xs, sj.ys, sj.cLow, sj.cHigh)
+    CandidateEstimates(id, sj.n, rp, boot.estimate, boot.ciLow, boot.ciHigh, hfd.hfdLength,
+      CorrelationSketch.containmentEstimate(query, cand), jcExact)
+  }
+
+  test("estimates computed on demand equal the eager ones in any read order and every ranking") {
+    // The EndToEndSpec collection: each query's top-100 hits from an index of the others.
+    val e2e = TableGen.nycLike(TableGen.CollectionConfig(numGroups = 4, pairsPerGroup = 10,
+      minKeys = 300, maxKeys = 800, strongFraction = 0.3), seed = 123L)
+    val e2eSketches = e2e.map(t => t.id -> CorrelationSketch.fromColumns(t.keys, t.values, 256)).toMap
+    val e2eById = e2e.map(t => t.id -> t).toMap
+    val e2eLists = e2e.map { q =>
+      val corpus = new SketchIndex(e2eSketches - q.id)
+      e2eSketches(q.id) -> corpus.search(e2eSketches(q.id), topN = 100).map { h =>
+        (h.id, corpus.sketchOf(h.id), FullJoin.jaccardContainment(q, e2eById(h.id)))
+      }
+    }
+    // The RankingEvalSpec collection: every truly joinable candidate of each query.
+    val rk = TableGen.nycLike(TableGen.CollectionConfig(numGroups = 3, pairsPerGroup = 8,
+      minKeys = 150, maxKeys = 400), seed = 55L)
+    val rkSketches = rk.map(t => t.id -> CorrelationSketch.fromColumns(t.keys, t.values, 128)).toMap
+    val rkLists = RankingEval.buildCases(rk, rkSketches).map { qc =>
+      rkSketches(qc.queryId) -> qc.cands.map(c => (c.id, rkSketches(c.id), c.jcExact))
+    }
+
+    def same(a: Double, b: Double): Boolean = a == b || (a.isNaN && b.isNaN)
+    def sameAll(got: Seq[Double], want: Seq[Double]): Boolean =
+      got.lazyZip(want).forall(same)
+    var pairs = 0
+    for (((q, list), li) <- (e2eLists ++ rkLists).zipWithIndex) {
+      def estimates(make: (String, CorrelationSketch, CorrelationSketch, Double, Long) => CandidateEstimates) =
+        list.zipWithIndex.map { case ((id, c, jc), i) => make(id, q, c, jc, 1000L * li + i) }
+      val want = estimates(eagerEstimates)
+      val rbFirst = estimates(CandidateEstimates.apply)
+      val rpFirst = estimates(CandidateEstimates.apply)
+      want.lazyZip(rbFirst).lazyZip(rpFirst).foreach { (w, x, y) =>
+        assert(x.id == w.id && x.n == w.n && y.id == w.id && y.n == w.n)
+        assert(sameAll(Seq(x.rb, x.pm1Low, x.pm1High, x.rp, x.hfdLength, x.jcEst, x.jcExact),
+          Seq(w.rb, w.pm1Low, w.pm1High, w.rp, w.hfdLength, w.jcEst, w.jcExact)), w.id)
+        assert(sameAll(Seq(y.rp, y.hfdLength, y.jcEst, y.pm1High, y.rb, y.pm1Low, y.jcExact),
+          Seq(w.rp, w.hfdLength, w.jcEst, w.pm1High, w.rb, w.pm1Low, w.jcExact)), w.id)
+        pairs += 1
+      }
+      Ranker.all.foreach { r =>
+        assert(Scoring.rank(estimates(CandidateEstimates.apply), r) == Scoring.rank(want, r), r.name)
+      }
+    }
+    assert(e2eLists.size == 40 && rkLists.nonEmpty && pairs > 500, s"$pairs pairs")
   }
 }
