@@ -2,6 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.eval.AccuracyEval
+import repro.eval.AccuracyEval.rmse
 
 /** Supporting bench for §5.2/§5.3 (Figures 3–4 are figures and out of
   * scope, but their quantitative claims are reproduced as numbers):
@@ -12,9 +13,6 @@ import repro.eval.AccuracyEval
 class AccuracyBench extends AnyFunSuite {
 
   private lazy val obs = AccuracyEval.experiment()
-
-  private def rmse(os: Seq[AccuracyEval.Obs]): Double =
-    math.sqrt(os.map(o => math.pow(o.estimate - o.truth, 2)).sum / os.size)
 
   test("Fig 3/4 support: print RMSE by estimator, sketch size and join-size bucket") {
     println(AccuracyEval.render(obs))

@@ -5,12 +5,13 @@ import scala.collection.mutable
 /** Per-key aggregation state kept while a sketch is under construction.
   * Carries enough to finalize any [[AggFn]] and to merge across partitions.
   */
-final case class KeyState(
-    var sum: Double,
-    var count: Long,
-    var min: Double,
-    var max: Double,
-) extends Serializable {
+final class KeyState private () extends Serializable {
+  // -0.0 is the additive identity: -0.0 + v == v bit for bit, even for v = ±0.0.
+  var sum: Double = -0.0
+  var count: Long = 0L
+  var min: Double = Double.PositiveInfinity
+  var max: Double = Double.NegativeInfinity
+
   def add(v: Double): Unit = {
     sum += v; count += 1L
     if (v < min) min = v
@@ -21,6 +22,11 @@ final case class KeyState(
     if (o.min < min) min = o.min
     if (o.max > max) max = o.max
   }
+}
+
+object KeyState {
+  /** The state of a key with no values yet. */
+  def empty(): KeyState = new KeyState
 }
 
 /** Mutable, mergeable builder for a [[CorrelationSketch]] (§3.1).
@@ -52,18 +58,12 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
   /** hu-then-hash ordering: deterministic even under (unlikely) hu ties. */
   @inline private def rankOf(hash: Int): (Double, Int) = (Hashing.hu(hash), hash)
 
-  def update(key: String, value: Double): Unit = updateHashed(Hashing.h(key), value)
-
-  def updateHashed(hash: Int, value: Double): Unit = if (java.lang.Double.isFinite(value)) {
+  def update(key: String, value: Double): Unit = if (java.lang.Double.isFinite(value)) {
     rows += 1L
     if (value < xMin) xMin = value
     if (value > xMax) xMax = value
-    entries.get(hash) match {
-      case Some(st) => st.add(value)
-      case None =>
-        entries.put(hash, KeyState(value, 1L, value, value))
-        if (entries.size > 2 * maxSize) prune()
-    }
+    entries.getOrElseUpdate(Hashing.h(key), KeyState.empty()).add(value)
+    if (entries.size > 2 * maxSize) prune()
   }
 
   /** Drop all but the `maxSize` smallest-hu keys. Amortizes eviction. */
@@ -75,12 +75,7 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
 
   def merge(other: SketchBuffer): SketchBuffer = {
     require(other.maxSize == maxSize, "cannot merge sketches of different max size")
-    other.entries.foreach { case (h, st) =>
-      entries.get(h) match {
-        case Some(mine) => mine.mergeWith(st)
-        case None       => entries.put(h, st.copy())
-      }
-    }
+    other.entries.foreach { case (h, st) => entries.getOrElseUpdate(h, KeyState.empty()).mergeWith(st) }
     if (entries.size > 2 * maxSize) prune()
     everTruncated ||= other.everTruncated
     rows += other.rows

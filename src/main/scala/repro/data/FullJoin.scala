@@ -1,6 +1,7 @@
 package repro.data
 
 import repro.core.{AggFn, KeyState}
+import repro.stats.Correlations
 
 import scala.collection.mutable
 
@@ -21,22 +22,18 @@ object FullJoin {
     var i = 0
     while (i < t.rows) {
       val k = t.keys(i); val v = t.values(i)
-      if (java.lang.Double.isFinite(v)) states.get(k) match {
-        case Some(st) => st.add(v)
-        case None     => states.put(k, KeyState(v, 1L, v, v))
-      }
+      if (java.lang.Double.isFinite(v)) states.getOrElseUpdate(k, KeyState.empty()).add(v)
       i += 1
     }
     states.map { case (k, st) => k -> agg.finalize(st.sum, st.count, st.min, st.max) }
   }
 
-  /** The paired numeric columns ⟨X_{X⋈Y}, Y_{X⋈Y}⟩ of the aggregated join,
-    * in deterministic (sorted-key) order.
+  /** The paired numeric columns ⟨X_{X⋈Y}, Y_{X⋈Y}⟩ of the join, each key
+    * aggregated with `Mean`, in deterministic (sorted-key) order.
     */
-  def joinedColumns(a: KVTable, b: KVTable,
-                    agg: AggFn = AggFn.Mean): (Array[Double], Array[Double]) = {
-    val ma = aggregateByKey(a, agg)
-    val mb = aggregateByKey(b, agg)
+  def joinedColumns(a: KVTable, b: KVTable): (Array[Double], Array[Double]) = {
+    val ma = aggregateByKey(a, AggFn.Mean)
+    val mb = aggregateByKey(b, AggFn.Mean)
     val (small, large, swapped) = if (ma.size <= mb.size) (ma, mb, false) else (mb, ma, true)
     val ks = small.keysIterator.filter(large.contains).toArray.sorted
     val xs = new Array[Double](ks.length)
@@ -51,22 +48,17 @@ object FullJoin {
     (xs, ys)
   }
 
-  /** Ground-truth correlation of the aggregated join under `estimator`. */
-  def correlation(a: KVTable, b: KVTable, agg: AggFn = AggFn.Mean)(
-      estimator: (Array[Double], Array[Double]) => Double): Double = {
-    val (xs, ys) = joinedColumns(a, b, agg)
-    estimator(xs, ys)
+  /** Ground-truth Pearson correlation of the mean-aggregated join. */
+  def correlation(a: KVTable, b: KVTable): Double = {
+    val (xs, ys) = joinedColumns(a, b)
+    Correlations.pearson(xs, ys)
   }
 
   /** Exact Jaccard containment of A's distinct keys in B's: |K_A∩K_B|/|K_A|
     * — the `jc` ranking baseline of §5.4.
     */
-  def jaccardContainment(a: KVTable, b: KVTable): Double = {
-    val ka = a.distinctKeys
-    if (ka.isEmpty) return 0.0
-    val kb = b.distinctKeys
-    ka.count(kb.contains).toDouble / ka.size
-  }
+  def jaccardContainment(a: KVTable, b: KVTable): Double =
+    if (a.distinctKeys.isEmpty) 0.0 else keyOverlap(a, b).toDouble / a.distinctKeys.size
 
   /** Exact key-overlap size |K_A ∩ K_B|. */
   def keyOverlap(a: KVTable, b: KVTable): Int = {

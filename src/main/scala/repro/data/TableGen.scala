@@ -101,10 +101,12 @@ object TableGen {
     * and duplicated keys (repeated categorical values).
     */
   def nycLike(cfg: CollectionConfig = CollectionConfig(), seed: Long = 17L): Seq[KVTable] = {
+    require(cfg.minKeys >= 1 && cfg.maxKeys >= cfg.minKeys,
+      s"need 1 <= minKeys <= maxKeys, got ${cfg.minKeys} and ${cfg.maxKeys}")
     val rng = new SplittableRandom(seed)
     val out = Seq.newBuilder[KVTable]
     for (g <- 0 until cfg.numGroups) {
-      val nKeys = cfg.minKeys + rng.nextInt(cfg.maxKeys - cfg.minKeys)
+      val nKeys = cfg.minKeys + rng.nextInt(math.max(1, cfg.maxKeys - cfg.minKeys))
       val domain = Array.tabulate(nKeys)(i => s"g$g:k$i")
       val z = Array.fill(nKeys)(gaussian(rng))
       for (p <- 0 until cfg.pairsPerGroup) {
@@ -143,11 +145,14 @@ object TableGen {
   }
 
   /** Flatten a collection into the (pair, key, value) DataFrame shape used
-    * by [[repro.core.SparkSketches.buildAll]].
+    * by [[repro.core.SparkSketches.buildAll]]. Each table is one partition:
+    * its task ships only that table and expands it into rows, and no table's
+    * rows are split across partitions.
     */
   def toDF(spark: SparkSession, tables: Seq[KVTable]): DataFrame = {
     import spark.implicits._
-    val rows = tables.flatMap(t => t.keys.indices.map(i => (t.id, t.keys(i), t.values(i))))
-    spark.createDataset(rows).toDF("pair", "key", "value")
+    spark.sparkContext.parallelize(tables, math.max(1, tables.size))
+      .flatMap(t => t.keys.indices.map(i => (t.id, t.keys(i), t.values(i))))
+      .toDF("pair", "key", "value")
   }
 }

@@ -80,6 +80,10 @@ object AccuracyEval {
   def experiment(): Seq[Obs] =
     observe(TableGen.sbn(300, 200, 60000, seed = 404L).map(p => (p.x, p.y)), Seq(64, 256, 1024))
 
+  /** RMSE of (estimate − truth) over `obs`. */
+  def rmse(obs: Seq[Obs]): Double =
+    math.sqrt(obs.map(o => math.pow(o.estimate - o.truth, 2)).sum / obs.size)
+
   /** RMSE of (estimate − truth) grouped by estimator, sketch size and
     * join-size bucket (powers of two, as the x-axis of Fig. 4).
     */
@@ -87,10 +91,7 @@ object AccuracyEval {
     obs.groupBy(o => (o.estimator, o.sketchSize,
         Integer.highestOneBit(math.max(1, o.joinSize))))
       .toSeq
-      .map { case ((est, size, bucket), os) =>
-        val rmse = math.sqrt(os.map(o => math.pow(o.estimate - o.truth, 2)).sum / os.size)
-        (est, size, bucket, rmse, os.size)
-      }
+      .map { case ((est, size, bucket), os) => (est, size, bucket, rmse(os), os.size) }
       .sortBy { case (est, size, bucket, _, _) => (est, size, bucket) }
   }
 

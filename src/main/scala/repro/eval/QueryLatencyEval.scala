@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{CorrelationSketch, SparkSketches}
 import repro.data.TableGen
 import repro.index.SketchIndex
-import repro.stats.Correlations
+import repro.rank.{CandidateEstimates, Ranker, Scoring}
 
 /** Harness for the §5.5 query-evaluation experiment (prose, not a table):
   * corpus/query split, inverted index, top-100 retrieval by key overlap,
@@ -13,15 +13,15 @@ import repro.stats.Correlations
   */
 object QueryLatencyEval {
 
-  /** One query: retrieve the top 100 by overlap, estimate correlations
-    * from the sketch joins, re-sort. Returns the candidate ids, best first.
+  /** One query: retrieve the top 100 by overlap, then re-rank them by the
+    * estimated correlation (s1 = |r_p|). Returns the candidate ids, best first.
     */
-  def query(index: SketchIndex, q: CorrelationSketch): Seq[String] =
-    index.search(q, topN = 100).map { h =>
-      val sj = CorrelationSketch.join(q, index.sketchOf(h.id))
-      val r = Correlations.pearson(sj.xs, sj.ys)
-      h.id -> (if (r.isNaN) 0.0 else math.abs(r))
-    }.sortBy { case (id, s) => (-s, id) }.map(_._1)
+  def query(index: SketchIndex, q: CorrelationSketch): Seq[String] = {
+    val cands = index.search(q, topN = 100).map { h =>
+      CandidateEstimates(h.id, q, index.sketchOf(h.id), jcExact = 0.0, seed = 0L)
+    }
+    Scoring.rank(cands, Ranker.Rp).map(_._1)
+  }
 
   /** The §5.5 experiment as its bench runs it, on the
     * NYC-like collection with sketches built through Spark: every other

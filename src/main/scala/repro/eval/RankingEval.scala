@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{CorrelationSketch, SparkSketches}
 import repro.data.{FullJoin, KVTable, TableGen}
 import repro.rank.{CandidateEstimates, Metrics, Ranker, Scoring}
-import repro.stats.Correlations
 
 /** Harness for Table 1: run every scoring function over every query in a
   * collection and report MAP (r > .75, r > .50) and nDCG@5 / nDCG@10, with
@@ -53,7 +52,7 @@ object RankingEval {
       if (candidates.isEmpty) None
       else {
         val truth = candidates.map { c =>
-          val r = FullJoin.correlation(q, c)(Correlations.pearson)
+          val r = FullJoin.correlation(q, c)
           c.id -> (if (r.isNaN) 0.0 else math.abs(r))
         }.toMap
         val ests = candidates.map { c =>
@@ -81,10 +80,10 @@ object RankingEval {
         )
       }
       ranker -> Scores(
-        map75 = Metrics.meanAveragePrecision(perQuery.map(_._1)),
-        map50 = Metrics.meanAveragePrecision(perQuery.map(_._2)),
-        ndcg5 = Metrics.meanNdcg(perQuery.map(_._3)),
-        ndcg10 = Metrics.meanNdcg(perQuery.map(_._4)),
+        map75 = Metrics.mean(perQuery.map(_._1)),
+        map50 = Metrics.mean(perQuery.map(_._2)),
+        ndcg5 = Metrics.mean(perQuery.map(_._3)),
+        ndcg10 = Metrics.mean(perQuery.map(_._4)),
       )
     }.toMap
     Result(scores)

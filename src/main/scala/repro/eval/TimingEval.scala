@@ -1,6 +1,6 @@
 package repro.eval
 
-import repro.core.{AggFn, CorrelationSketch}
+import repro.core.CorrelationSketch
 import repro.data.{FullJoin, KVTable, TableGen}
 import repro.stats.Correlations
 
@@ -83,7 +83,7 @@ object TimingEval {
       (CorrelationSketch.fromColumns(a.keys, a.values, sketchSize),
        CorrelationSketch.fromColumns(b.keys, b.values, sketchSize))
     }
-    val fullJoin = (i: Int) => FullJoin.joinedColumns(pairs(i)._1, pairs(i)._2, AggFn.Mean)
+    val fullJoin = (i: Int) => FullJoin.joinedColumns(pairs(i)._1, pairs(i)._2)
     val sketchJoin = (i: Int) => {
       val sj = CorrelationSketch.join(sketches(i)._1, sketches(i)._2)
       (sj.xs, sj.ys)

@@ -23,12 +23,6 @@ object Metrics {
     sum / total
   }
 
-  /** Mean of the defined (non-NaN) per-query average precisions. */
-  def meanAveragePrecision(perQuery: Seq[Double]): Double = {
-    val defined = perQuery.filterNot(_.isNaN)
-    if (defined.isEmpty) Double.NaN else defined.sum / defined.size
-  }
-
   /** DCG@k with graded gains: Σ gain_i / log2(i + 1), 1-based positions. */
   def dcg(gains: Seq[Double], k: Int): Double =
     gains.take(k).zipWithIndex.map { case (g, i) =>
@@ -43,6 +37,11 @@ object Metrics {
     if (ideal == 0.0) Double.NaN else dcg(rankedGains, k) / ideal
   }
 
-  /** Mean of the defined (non-NaN) per-query nDCG values. */
-  def meanNdcg(perQuery: Seq[Double]): Double = meanAveragePrecision(perQuery)
+  /** Mean of the defined (non-NaN) per-query values: MAP over average
+    * precisions, mean nDCG over nDCGs. NaN when no query is defined.
+    */
+  def mean(perQuery: Seq[Double]): Double = {
+    val defined = perQuery.filterNot(_.isNaN)
+    if (defined.isEmpty) Double.NaN else defined.sum / defined.size
+  }
 }

@@ -26,7 +26,7 @@ class EndToEndSpec extends SparkSpec {
     val found = tables.view.map { q =>
       val truths = tables.filter(c => c.id != q.id && FullJoin.keyOverlap(q, c) >= 3)
         .map { c =>
-          val r = FullJoin.correlation(q, c)(Correlations.pearson)
+          val r = FullJoin.correlation(q, c)
           c.id -> (if (r.isNaN) 0.0 else math.abs(r))
         }
       q.id -> truths

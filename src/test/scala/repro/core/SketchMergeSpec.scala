@@ -3,6 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
+import repro.data.{FullJoin, KVTable}
 
 /** Merge semantics: distributed partial builds must agree with a
   * sequential scan — the property the Spark aggregator relies on.
@@ -101,5 +102,21 @@ class SketchMergeSpec extends AnyFunSuite with PropSupport {
       val merged = buildBuffer(l, n).merge(buildBuffer(r, n)).result(AggFn.Sum)
       sameSketch(seq, merged)
     })
+  }
+
+  test("a key whose values are all -0.0 keeps the sign of zero in build, merge and full join") {
+    val negZero = java.lang.Double.doubleToRawLongBits(-0.0)
+    val keys = Array("z", "z")
+    val values = Array(-0.0, -0.0)
+    def valueBits(sk: CorrelationSketch): Long =
+      java.lang.Double.doubleToRawLongBits(sk.values(sk.keyHashes.indexOf(Hashing.h("z"))))
+    for (agg <- Seq(AggFn.Mean, AggFn.Sum)) {
+      assert(valueBits(CorrelationSketch.fromColumns(keys, values, 4, agg)) == negZero, s"fromColumns $agg")
+      // only the other buffer holds the key
+      val merged = buildBuffer(Seq(("a", 1.0)), 4).merge(buildBuffer(keys.zip(values).toSeq, 4)).result(agg)
+      assert(valueBits(merged) == negZero, s"merge $agg")
+      val truth = FullJoin.aggregateByKey(KVTable("t", keys, values), agg)("z")
+      assert(java.lang.Double.doubleToRawLongBits(truth) == negZero, s"aggregateByKey $agg")
+    }
   }
 }

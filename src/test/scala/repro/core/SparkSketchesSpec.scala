@@ -113,4 +113,20 @@ class SparkSketchesSpec extends SparkSpec {
     assert(byHash(Hashing.h("a")) == 3.0)
     assert(byHash(Hashing.h("b")) == 5.0)
   }
+
+  test("toDF keeps every table in one partition, so buildAll equals the sequential scan") {
+    val df = TableGen.toDF(spark, tables)
+    val pairsPerPartition = df.rdd.mapPartitions(rows => Iterator(rows.map(_.getString(0)).toSet)).collect()
+    assert(pairsPerPartition.map(_.size).sum == pairsPerPartition.flatten.toSet.size,
+      "a table's rows span more than one partition")
+    val built = SparkSketches.buildAll(df, "pair", "key", "value", maxSize = 64)
+    def bits(xs: Array[Double]) = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    tables.foreach { t =>
+      val local = CorrelationSketch.fromColumns(t.keys, t.values, 64)
+      val sk = built(t.id)
+      assert(sk.keyHashes.toSeq == local.keyHashes.toSeq, s"key mismatch for ${t.id}")
+      assert(bits(sk.values) == bits(local.values), s"value bits differ for ${t.id}")
+      assert((sk.rows, sk.xMin, sk.xMax, sk.exact) == (local.rows, local.xMin, local.xMax, local.exact))
+    }
+  }
 }

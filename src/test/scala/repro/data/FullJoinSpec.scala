@@ -4,7 +4,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.AggFn
-import repro.stats.Correlations
 
 class FullJoinSpec extends SparkSpec {
 
@@ -92,7 +91,7 @@ class FullJoinSpec extends SparkSpec {
   }
 
   test("local ground-truth correlation equals the Spark/DuckDB-checked value") {
-    val rLocal = FullJoin.correlation(tx, ty)(Correlations.pearson)
+    val rLocal = FullJoin.correlation(tx, ty)
     val rSpark = joinedDF(spark, tx, ty).agg(corr("x", "y"))
       .collect()(0).getDouble(0)
     assert(math.abs(rLocal - rSpark) < 1e-9)

@@ -56,6 +56,17 @@ class TableGenSpec extends SparkSpec {
     assert(FullJoin.keyOverlap(g0(0), g1(0)) == 0)
   }
 
+  test("nycLike accepts a fixed key-domain size and rejects an empty one") {
+    val ts = TableGen.nycLike(TableGen.CollectionConfig(numGroups = 2, pairsPerGroup = 3,
+      minKeys = 40, maxKeys = 40), seed = 10L)
+    assert(ts.size == 6)
+    ts.groupBy(_.id.takeWhile(_ != ':')).values.foreach { g =>
+      assert(g.flatMap(_.distinctKeys).toSet.size <= 40)
+    }
+    assertThrows[IllegalArgumentException](
+      TableGen.nycLike(TableGen.CollectionConfig(minKeys = 0, maxKeys = 5)))
+  }
+
   test("nycLike contains duplicated keys (repeated categorical values)") {
     val ts = TableGen.nycLike(TableGen.CollectionConfig(numGroups = 1, pairsPerGroup = 5,
       minKeys = 200, maxKeys = 400), seed = 7L)
@@ -69,7 +80,7 @@ class TableGenSpec extends SparkSpec {
       g <- Seq("g0", "g1")
       group = ts.filter(_.id.startsWith(g + ":"))
       a <- group; b <- group if a.id < b.id
-      r = FullJoin.correlation(a, b)(Correlations.pearson) if !r.isNaN
+      r = FullJoin.correlation(a, b) if !r.isNaN
     } yield math.abs(r)
     assert(rs.exists(_ > 0.5), "no strongly correlated pair planted")
     assert(rs.exists(_ < 0.2), "no weakly correlated pair planted")

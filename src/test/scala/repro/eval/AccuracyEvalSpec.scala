@@ -26,8 +26,7 @@ class AccuracyEvalSpec extends AnyFunSuite {
 
   test("pearson RMSE shrinks as the sketch size grows") {
     val byDim = obs.filter(_.estimator == "pearson").groupBy(_.sketchSize)
-    def rmse(os: Seq[AccuracyEval.Obs]) =
-      math.sqrt(os.map(o => math.pow(o.estimate - o.truth, 2)).sum / os.size)
+    import AccuracyEval.rmse
     assert(rmse(byDim(256)) < rmse(byDim(64)) + 0.02,
       s"rmse@256=${rmse(byDim(256))} rmse@64=${rmse(byDim(64))}")
   }
@@ -35,7 +34,7 @@ class AccuracyEvalSpec extends AnyFunSuite {
   test("large sketch joins estimate accurately (the Fig. 4 plateau)") {
     val big = obs.filter(o => o.estimator == "pearson" && o.joinSize >= 128)
     assert(big.nonEmpty)
-    val rmse = math.sqrt(big.map(o => math.pow(o.estimate - o.truth, 2)).sum / big.size)
+    val rmse = AccuracyEval.rmse(big)
     assert(rmse < 0.15, s"RMSE $rmse at join size >= 128")
   }
 

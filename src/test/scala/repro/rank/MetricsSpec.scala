@@ -30,12 +30,12 @@ class MetricsSpec extends AnyFunSuite {
   }
 
   test("MAP averages only the defined queries") {
-    val map = Metrics.meanAveragePrecision(Seq(1.0, Double.NaN, 0.5))
+    val map = Metrics.mean(Seq(1.0, Double.NaN, 0.5))
     assert(map == 0.75)
   }
 
   test("MAP of all-undefined queries is NaN") {
-    assert(Metrics.meanAveragePrecision(Seq(Double.NaN)).isNaN)
+    assert(Metrics.mean(Seq(Double.NaN)).isNaN)
   }
 
   test("DCG hand example") {
