@@ -55,9 +55,6 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
   var xMax: Double = Double.NegativeInfinity
   var rows: Long = 0L
 
-  /** hu-then-hash ordering: deterministic even under (unlikely) hu ties. */
-  @inline private def rankOf(hash: Int): (Double, Int) = (Hashing.hu(hash), hash)
-
   def update(key: String, value: Double): Unit = if (java.lang.Double.isFinite(value)) {
     rows += 1L
     if (value < xMin) xMin = value
@@ -68,8 +65,8 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
 
   /** Drop all but the `maxSize` smallest-hu keys. Amortizes eviction. */
   private def prune(): Unit = {
-    val keep = entries.keysIterator.toArray.sortBy(rankOf).take(maxSize).toSet
-    entries.filterInPlace((h, _) => keep.contains(h))
+    val kth = CorrelationSketch.kthKey(entries.keysIterator.toArray, maxSize)
+    entries.filterInPlace((h, _) => CorrelationSketch.atOrBefore(h, kth))
     everTruncated = true
   }
 
@@ -89,10 +86,11 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
     */
   def result(agg: AggFn): CorrelationSketch = {
     if (entries.size > maxSize) prune()
-    val sorted = entries.toArray.sortBy(_._1) // by key hash, for O(n) merge-intersection
+    val hashes = entries.keysIterator.toArray
+    java.util.Arrays.sort(hashes) // by key hash, for O(n) merge-intersection
     CorrelationSketch(
-      keyHashes = sorted.map(_._1),
-      values = sorted.map { case (_, st) => agg.finalize(st.sum, st.count, st.min, st.max) },
+      keyHashes = hashes,
+      values = hashes.map { h => val st = entries(h); agg.finalize(st.sum, st.count, st.min, st.max) },
       xMin = if (rows == 0) Double.NaN else xMin,
       xMax = if (rows == 0) Double.NaN else xMax,
       exact = !everTruncated,
@@ -194,47 +192,41 @@ object CorrelationSketch {
     SketchJoin(hs, xs, ys, cLow = math.min(a.xMin, b.xMin), cHigh = math.max(a.xMax, b.xMax))
   }
 
+  /** The bottom-k order of §3.1, shared by the builder and Eq. 1: keys by
+    * hu, ties by hash. Returns the k-th of the distinct `hashes` in that
+    * order, for 1 <= k <= hashes.length.
+    */
+  private[core] def kthKey(hashes: Array[Int], k: Int): Int = {
+    val us = new Array[Double](hashes.length)
+    var i = 0
+    while (i < us.length) { us(i) = Hashing.hu(hashes(i)); i += 1 }
+    java.util.Arrays.sort(us)
+    val uK = us(k - 1)
+    var below = k - 1
+    while (below > 0 && us(below - 1) == uK) below -= 1
+    // of the keys tied at U(k), the k-th is the (k − below)-th smallest hash
+    hashes.filter(Hashing.hu(_) == uK).sorted.apply(k - 1 - below)
+  }
+
+  /** Whether `hash` is at or before `kth` in the bottom-k order. */
+  private[core] def atOrBefore(hash: Int, kth: Int): Boolean = {
+    val u = Hashing.hu(hash); val uK = Hashing.hu(kth)
+    u < uK || (u == uK && hash <= kth)
+  }
+
   /** Estimate of |K_A ∩ K_B| via Eq. 1: D̂∩ = (K∩/k)·(k−1)/U(k), where K∩
     * counts the common keys of the combined bottom-k sketch L = L_A ⊕ L_B
-    * with k = min(k_A, k_B) (§2.1), ranked by (hu, hash). Exact when both
-    * sketches are exact.
+    * with k = min(k_A, k_B) (§2.1). Exact when both sketches are exact.
     */
   def intersectionEstimate(a: CorrelationSketch, b: CorrelationSketch): Double = {
     if (a.isEmpty || b.isEmpty) return 0.0
-    // One merge of the hash-sorted arrays: hu of each union key, in hash
-    // order, and whether both sketches hold it.
-    val us = new Array[Double](a.size + b.size)
-    val inBoth = new Array[Boolean](us.length)
-    var m = 0; var common = 0
-    var i = 0; var j = 0
-    while (i < a.size && j < b.size) {
-      val ha = a.keyHashes(i); val hb = b.keyHashes(j)
-      if (ha < hb) { us(m) = Hashing.hu(ha); i += 1 }
-      else if (hb < ha) { us(m) = Hashing.hu(hb); j += 1 }
-      else { us(m) = Hashing.hu(ha); inBoth(m) = true; common += 1; i += 1; j += 1 }
-      m += 1
-    }
-    while (i < a.size) { us(m) = Hashing.hu(a.keyHashes(i)); i += 1; m += 1 }
-    while (j < b.size) { us(m) = Hashing.hu(b.keyHashes(j)); j += 1; m += 1 }
-    if (a.exact && b.exact) return common.toDouble
-    // U(k) is the k-th smallest hu of the union; of the keys tied at U(k),
-    // the bottom-k keeps the k − below smallest hashes, met first in hash order.
+    val common = join(a, b).keyHashes
+    if (a.exact && b.exact) return common.length.toDouble
     val k = math.min(a.size, b.size)
-    val sorted = java.util.Arrays.copyOf(us, m)
-    java.util.Arrays.sort(sorted)
-    val uK = sorted(k - 1)
-    var below = k - 1
-    while (below > 0 && sorted(below - 1) == uK) below -= 1
-    var kInter = 0; var tied = 0
-    var t = 0
-    while (t < m) {
-      val u = us(t)
-      if (u == uK) { if (inBoth(t) && tied < k - below) kInter += 1; tied += 1 }
-      else if (u < uK && inBoth(t)) kInter += 1
-      t += 1
-    }
+    val kth = kthKey(a.keyHashes ++ b.keyHashes.filterNot(a.contains), k)
+    val kInter = common.count(atOrBefore(_, kth))
     if (k <= 1) kInter.toDouble
-    else kInter.toDouble / k * ((k - 1).toDouble / uK)
+    else kInter.toDouble / k * ((k - 1).toDouble / Hashing.hu(kth))
   }
 
   /** Estimated Jaccard containment of A's keys in B: D̂∩ / D̂_A. */

@@ -24,11 +24,13 @@ object SparkSketches {
   /** Build one sketch per distinct `pairCol` value over the whole
     * collection in one pass: each partition fills one [[SketchBuffer]] per
     * pair, and each pair's partial buffers are merged by hu-rank, which
-    * yields exactly the sketch of a sequential scan. Returns pairId → sketch.
+    * yields exactly the sketch of a sequential scan. The merge runs in at
+    * most `defaultParallelism` tasks, not one per input partition.
+    * Returns pairId → sketch.
     */
   def buildAll(df: DataFrame, pairCol: String, keyCol: String, valueCol: String,
-               maxSize: Int, agg: AggFn = AggFn.Mean): Map[String, CorrelationSketch] =
-    toKV(df, pairCol, keyCol, valueCol).rdd
+               maxSize: Int, agg: AggFn = AggFn.Mean): Map[String, CorrelationSketch] = {
+    val partials = toKV(df, pairCol, keyCol, valueCol).rdd
       .mapPartitions { rows =>
         val bufs = new mutable.HashMap[String, SketchBuffer]
         rows.foreach { r =>
@@ -37,8 +39,10 @@ object SparkSketches {
         }
         bufs.iterator
       }
-      .reduceByKey(_ merge _)
+    partials
+      .reduceByKey(_ merge _, math.min(partials.getNumPartitions, partials.sparkContext.defaultParallelism))
       .mapValues(_.result(agg))
       .collect()
       .toMap
+  }
 }

@@ -1,8 +1,11 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerStageSubmitted, StageInfo}
 import repro.SparkSpec
 import repro.data.TableGen
 import repro.stats.{ConfidenceBounds, Correlations}
+
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
 
 /** Distributed sketch construction must agree with the sequential local
   * build — Spark partitioning and merge order may not change the sketch.
@@ -128,5 +131,34 @@ class SparkSketchesSpec extends SparkSpec {
       assert(bits(sk.values) == bits(local.values), s"value bits differ for ${t.id}")
       assert((sk.rows, sk.xMin, sk.xMax, sk.exact) == (local.rows, local.xMin, local.xMax, local.exact))
     }
+  }
+
+  test("the merge stage of buildAll runs at most defaultParallelism tasks") {
+    val sc = spark.sparkContext
+    val collectStages = new LinkedBlockingQueue[StageInfo]
+    val listener = new SparkListener {
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        if (e.properties != null && e.properties.getProperty("spark.jobGroup.id") == "merge-tasks" &&
+            e.stageInfo.name.startsWith("collect at")) collectStages.put(e.stageInfo)
+    }
+    sc.addSparkListener(listener)
+    try {
+      val df = TableGen.toDF(spark, tables) // one partition per table
+      assert(df.rdd.getNumPartitions == tables.size)
+      sc.setJobGroup("merge-tasks", "buildAll over one partition per table")
+      assert(SparkSketches.buildAll(df, "pair", "key", "value", maxSize = 64).size == tables.size)
+      val merge = collectStages.poll(60, TimeUnit.SECONDS)
+      assert(merge != null, "no merge stage seen")
+      assert(merge.numTasks <= sc.defaultParallelism, s"${merge.numTasks} merge tasks")
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+  }
+
+  test("buildAll over an empty DataFrame returns no sketches") {
+    import spark.implicits._
+    val df = Seq.empty[(String, String, Double)].toDF("pair", "key", "value")
+    assert(SparkSketches.buildAll(df, "pair", "key", "value", 8).isEmpty)
   }
 }
