@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.eval.QueryLatencyEval
 
 /** Reproduces the §5.5 query-evaluation experiment (prose, not a table):
@@ -8,9 +8,9 @@ import repro.eval.QueryLatencyEval
   * of the top-100 candidates by key overlap and re-sorting by estimated
   * correlation. Paper: 94% of queries under 100 ms, ~98.5% under 200 ms.
   */
-class QueryLatencyBench extends SparkSpec {
+class QueryLatencyBench extends AnyFunSuite {
 
-  private lazy val latencies: Seq[Double] = QueryLatencyEval.experiment(spark)
+  private lazy val latencies: Seq[Double] = QueryLatencyEval.experiment()
 
   test("§5.5: print reproduction") {
     println(QueryLatencyEval.render(latencies))

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.eval.RankingEval
 import repro.rank.Ranker
 
@@ -21,9 +21,9 @@ import repro.rank.Ranker
   * the asserted *shape* is the paper's headline: every correlation-aware
   * ranker beats jc/ĵc/random by a wide margin, and jc ≈ random.
   */
-class Table1Bench extends SparkSpec {
+class Table1Bench extends AnyFunSuite {
 
-  private lazy val result = RankingEval.experiment(spark)
+  private lazy val result = RankingEval.experiment()
 
   test("Table 1: print reproduction") {
     println(RankingEval.render(result))
@@ -55,8 +55,8 @@ class Table1Bench extends SparkSpec {
   }
 
   test("Table 1 shape: MAP improvements over jc are large (paper: 83-193%)") {
-    assert(result.improvementOverJc(Ranker.RpCih, "map75") > 50.0)
-    assert(result.improvementOverJc(Ranker.Rp, "map50") > 30.0)
+    assert(result.improvementOverJc(Ranker.RpCih, _.map75) > 50.0)
+    assert(result.improvementOverJc(Ranker.Rp, _.map50) > 30.0)
   }
 
   test("Table 1 shape: jc and its sketch estimate perform like random ordering") {

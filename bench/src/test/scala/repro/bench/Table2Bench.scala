@@ -21,11 +21,11 @@ import repro.eval.TimingEval
   */
 class Table2Bench extends AnyFunSuite {
 
-  private lazy val table = TimingEval.experiment()
-  private lazy val byLabel = table.rows.map(r => r.label -> r).toMap
+  private lazy val rows = TimingEval.experiment()
+  private lazy val byLabel = rows.map(r => r.label -> r).toMap
 
   test("Table 2: print reproduction") {
-    println(TimingEval.render(table))
+    println(TimingEval.render(rows))
     println("paper: full.join mean=42.219 p99.9=4021.838 | sketch.join mean=0.026 p99.9=0.021 | " +
       "full.r_s p99.9=2731.154 | sketch.r_s p99.9=0.033")
   }

@@ -90,7 +90,7 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
     java.util.Arrays.sort(hashes) // by key hash, for O(n) merge-intersection
     CorrelationSketch(
       keyHashes = hashes,
-      values = hashes.map { h => val st = entries(h); agg.finalize(st.sum, st.count, st.min, st.max) },
+      values = hashes.map(h => agg(entries(h))),
       xMin = if (rows == 0) Double.NaN else xMin,
       xMax = if (rows == 0) Double.NaN else xMax,
       exact = !everTruncated,

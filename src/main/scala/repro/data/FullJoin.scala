@@ -25,7 +25,7 @@ object FullJoin {
       if (java.lang.Double.isFinite(v)) states.getOrElseUpdate(k, KeyState.empty()).add(v)
       i += 1
     }
-    states.map { case (k, st) => k -> agg.finalize(st.sum, st.count, st.min, st.max) }
+    states.map { case (k, st) => k -> agg(st) }
   }
 
   /** The paired numeric columns ⟨X_{X⋈Y}, Y_{X⋈Y}⟩ of the join, each key

@@ -11,15 +11,38 @@ import repro.stats.Correlations
   */
 object AccuracyEval {
 
+  /** One estimator: its sketch-side estimate `f` and the population
+    * `truth` over the full join that the estimate is compared with.
+    */
   final case class EstimatorSpec(name: String,
-                                 f: (Array[Double], Array[Double]) => Double)
+                                 f: (Array[Double], Array[Double]) => Double,
+                                 truth: (Array[Double], Array[Double]) => Double)
 
+  private val QnCap = 2000
+
+  /** Qn over the full join, or over a strided subsample of at most
+    * [[QnCap]] rows once it is longer: Qn is O(n²) in the sample size, and
+    * its own sampling noise at 2000 rows (≈0.02) sits far below the sketch
+    * RMSE being measured (§5.3).
+    */
+  private def cappedQn(xs: Array[Double], ys: Array[Double]): Double =
+    if (xs.length <= QnCap) Correlations.qnCorrelation(xs, ys)
+    else {
+      val stride = xs.length / QnCap + 1
+      Correlations.qnCorrelation(xs.indices.by(stride).map(xs(_)).toArray,
+        ys.indices.by(stride).map(ys(_)).toArray)
+    }
+
+  /** The five estimators of §5.3. Each truth is the estimator's own
+    * population value, except PM1's: the population *Pearson* correlation
+    * that PM1 intends to estimate.
+    */
   val estimators: Seq[EstimatorSpec] = Seq(
-    EstimatorSpec("pearson", Correlations.pearson),
-    EstimatorSpec("spearman", Correlations.spearman),
-    EstimatorSpec("rin", Correlations.rin),
-    EstimatorSpec("qn", Correlations.qnCorrelation),
-    EstimatorSpec("pm1", (x, y) => Correlations.pm1Bootstrap(x, y).estimate),
+    EstimatorSpec("pearson", Correlations.pearson, Correlations.pearson),
+    EstimatorSpec("spearman", Correlations.spearman, Correlations.spearman),
+    EstimatorSpec("rin", Correlations.rin, Correlations.rin),
+    EstimatorSpec("qn", Correlations.qnCorrelation, cappedQn),
+    EstimatorSpec("pm1", (x, y) => Correlations.pm1Bootstrap(x, y).estimate, Correlations.pearson),
   )
 
   /** One (pair, estimator, sketch size) observation: sketch-join size,
@@ -28,27 +51,8 @@ object AccuracyEval {
   final case class Obs(estimator: String, sketchSize: Int, joinSize: Int,
                        estimate: Double, truth: Double)
 
-  private val QnCap = 2000
   /** Least sketch-join size of an observation (Fig. 3 plots n ≥ 3). */
   private val MinJoin = 3
-
-  /** Population truth for one estimator over the full join. Two estimators
-    * need special handling (as in §5.3): PM1 is compared against the
-    * population *Pearson* correlation it intends to estimate, and Qn —
-    * O(n²) in the sample size — is evaluated on a strided subsample capped
-    * at [[QnCap]] rows (its own sampling noise at 2000 rows is ≈0.02, far
-    * below the sketch RMSE being measured).
-    */
-  private def populationTruth(est: EstimatorSpec, xs: Array[Double],
-                              ys: Array[Double]): Double = est.name match {
-    case "pm1" => Correlations.pearson(xs, ys)
-    case "qn" if xs.length > QnCap =>
-      val stride = xs.length / QnCap + 1
-      val sx = xs.indices.by(stride).map(xs(_)).toArray
-      val sy = ys.indices.by(stride).map(ys(_)).toArray
-      Correlations.qnCorrelation(sx, sy)
-    case _ => est.f(xs, ys)
-  }
 
   /** Compare sketch estimates against full-join truth for every estimator
     * and sketch size. A (pair, sketch size) whose sketch join has fewer
@@ -58,7 +62,7 @@ object AccuracyEval {
   def observe(pairs: Seq[(KVTable, KVTable)], sketchSizes: Seq[Int]): Seq[Obs] = {
     pairs.flatMap { case (a, b) =>
       val (xs, ys) = FullJoin.joinedColumns(a, b)
-      val truths = estimators.map(est => est.name -> populationTruth(est, xs, ys)).toMap
+      val truths = estimators.map(est => est.name -> est.truth(xs, ys)).toMap
       sketchSizes.flatMap { n =>
         val ska = CorrelationSketch.fromColumns(a.keys, a.values, n)
         val skb = CorrelationSketch.fromColumns(b.keys, b.values, n)

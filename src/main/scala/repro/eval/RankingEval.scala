@@ -1,7 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.SparkSession
-import repro.core.{CorrelationSketch, SparkSketches}
+import repro.core.CorrelationSketch
 import repro.data.{FullJoin, KVTable, TableGen}
 import repro.rank.{CandidateEstimates, Metrics, Ranker, Scoring}
 
@@ -12,20 +11,18 @@ import repro.rank.{CandidateEstimates, Metrics, Ranker, Scoring}
 object RankingEval {
 
   /** The four metric values Table 1 reports for one ranker. */
-  final case class Scores(map75: Double, map50: Double, ndcg5: Double, ndcg10: Double) {
-    def of(metric: String): Double = metric match {
-      case "map75"  => map75
-      case "map50"  => map50
-      case "ndcg5"  => ndcg5
-      case "ndcg10" => ndcg10
-    }
-  }
+  final case class Scores(map75: Double, map50: Double, ndcg5: Double, ndcg10: Double)
+
+  /** Table 1's four sub-tables: each title with the score it reads. */
+  private val metrics: Seq[(String, Scores => Double)] = Seq(
+    "MAP (r > .75)" -> (_.map75), "MAP (r > .50)" -> (_.map50),
+    "nDCG@5" -> (_.ndcg5), "nDCG@10" -> (_.ndcg10))
 
   final case class Result(scores: Map[Ranker, Scores]) {
     /** Relative improvement over the `jc` baseline, as in Table 1's "%". */
-    def improvementOverJc(ranker: Ranker, metric: String): Double = {
-      val base = scores(Ranker.Jc).of(metric)
-      (scores(ranker).of(metric) - base) / base * 100.0
+    def improvementOverJc(ranker: Ranker, metric: Scores => Double): Double = {
+      val base = metric(scores(Ranker.Jc))
+      (metric(scores(ranker)) - base) / base * 100.0
     }
   }
 
@@ -90,30 +87,27 @@ object RankingEval {
   }
 
   /** Table 1 as its bench runs it, on the NYC-like
-    * collection with sketches built through Spark. `minKeep` is low so many
+    * collection with locally built sketches. `minKeep` is low so many
     * candidate pairs have small join samples — the §4 "needle in a
     * haystack" regime where estimation false positives appear and
     * risk-aware scoring pays off.
     */
-  def experiment(spark: SparkSession): Result = {
+  def experiment(): Result = {
     val tables = TableGen.nycLike(TableGen.CollectionConfig(
       numGroups = 12, pairsPerGroup = 24, minKeys = 60, maxKeys = 3000,
       minKeep = 0.05), seed = 2021L)
-    val sketches =
-      SparkSketches.buildAll(TableGen.toDF(spark, tables), "pair", "key", "value", 256)
+    val sketches = tables.map(t => t.id -> CorrelationSketch.fromColumns(t.keys, t.values, 256)).toMap
     evaluate(buildCases(tables, sketches))
   }
 
   /** Render the four Table 1 sub-tables (ranker, score, % over jc). */
   def render(result: Result): String = {
-    val metrics = Seq("map75" -> "MAP (r > .75)", "map50" -> "MAP (r > .50)",
-      "ndcg5" -> "nDCG@5", "ndcg10" -> "nDCG@10")
     val sb = new StringBuilder
-    metrics.foreach { case (key, title) =>
+    metrics.foreach { case (title, metric) =>
       sb.append(s"== Table 1: $title ==\n")
-      sb.append(f"${"ranker"}%-10s ${"score"}%8s ${"%% over jc"}%10s\n")
-      result.scores.toSeq.sortBy { case (_, s) => -s.of(key) }.foreach { case (r, s) =>
-        sb.append(f"${r.name}%-10s ${s.of(key)}%8.3f ${result.improvementOverJc(r, key)}%9.1f%%\n")
+      sb.append(f"${"ranker"}%-10s ${"score"}%8s ${"% over jc"}%10s\n")
+      result.scores.toSeq.sortBy { case (_, s) => -metric(s) }.foreach { case (r, s) =>
+        sb.append(f"${r.name}%-10s ${metric(s)}%8.3f ${result.improvementOverJc(r, metric)}%9.1f%%\n")
       }
       sb.append("\n")
     }

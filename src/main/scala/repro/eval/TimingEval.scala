@@ -20,9 +20,8 @@ object TimingEval {
   final case class Row(label: String, mean: Double, std: Double,
                        p75: Double, p90: Double, p99: Double, p999: Double)
 
-  final case class Table2(rows: Seq[Row])
-
-  private def percentile(sorted: Array[Double], p: Double): Double = {
+  /** The nearest-rank `p`-percentile of ascending `sorted`: its ⌈p·n⌉-th value. */
+  private[eval] def percentile(sorted: Array[Double], p: Double): Double = {
     val idx = math.min(sorted.length - 1, math.ceil(p * sorted.length).toInt - 1)
     sorted(math.max(0, idx))
   }
@@ -38,7 +37,8 @@ object TimingEval {
   /** Times per op and pair; the reported time is their median. */
   private val Repeats = 3
 
-  @inline private def timeMs[A](body: => A): (A, Double) = {
+  /** The result of `body` and its wall time in ms. */
+  @inline private[eval] def timeMs[A](body: => A): (A, Double) = {
     val t0 = System.nanoTime()
     val a = body
     (a, (System.nanoTime() - t0) / 1e6)
@@ -78,7 +78,7 @@ object TimingEval {
     * discarded, so JIT compilation does not pollute tails.
     */
   def run(pairs: Seq[(KVTable, KVTable)], sketchSize: Int = 256,
-          warmup: Int = 20): Table2 = {
+          warmup: Int = 20): Seq[Row] = {
     val sketches = pairs.map { case (a, b) =>
       (CorrelationSketch.fromColumns(a.keys, a.values, sketchSize),
        CorrelationSketch.fromColumns(b.keys, b.values, sketchSize))
@@ -95,14 +95,14 @@ object TimingEval {
     val Array(skJoin, skRp, skRs) = timed(sketchJoin)
     val Array(fullJ, fullRp, fullRs) = timed(fullJoin)
 
-    Table2(Seq(
+    Seq(
       stats("full.join", fullJ),
       stats("full.r_s", fullRs),
       stats("full.r_p", fullRp),
       stats("sketch.join", skJoin),
       stats("sketch.r_p", skRp),
       stats("sketch.r_s", skRs),
-    ))
+    )
   }
 
   /** Times (ms) of `join`, then Pearson and Spearman over its paired
@@ -123,13 +123,13 @@ object TimingEval {
   }
 
   /** Table 2 as its bench runs it. */
-  def experiment(): Table2 = run(workload(pairs = 250, minN = 100, maxN = 500000), sketchSize = 256)
+  def experiment(): Seq[Row] = run(workload(pairs = 250, minN = 100, maxN = 500000), sketchSize = 256)
 
-  def render(t: Table2): String = {
+  def render(rows: Seq[Row]): String = {
     val sb = new StringBuilder
     sb.append("== Table 2: running times (ms) ==\n")
     sb.append(f"${"op"}%-12s ${"mean"}%10s ${"std"}%10s ${"p75"}%10s ${"p90"}%10s ${"p99"}%10s ${"p99.9"}%10s\n")
-    t.rows.foreach { r =>
+    rows.foreach { r =>
       sb.append(f"${r.label}%-12s ${r.mean}%10.3f ${r.std}%10.3f ${r.p75}%10.3f ${r.p90}%10.3f ${r.p99}%10.3f ${r.p999}%10.3f\n")
     }
     sb.toString

@@ -51,9 +51,9 @@ class RankingEvalSpec extends SparkSpec {
   }
 
   test("improvement over jc is reported as a percentage") {
-    val imp = result.improvementOverJc(Ranker.Rp, "map50")
+    val imp = result.improvementOverJc(Ranker.Rp, _.map50)
     assert(imp > 0.0)
-    assert(result.improvementOverJc(Ranker.Jc, "map50") == 0.0)
+    assert(result.improvementOverJc(Ranker.Jc, _.map50) == 0.0)
   }
 
   test("render produces all four sub-tables") {
@@ -61,5 +61,7 @@ class RankingEvalSpec extends SparkSpec {
     assert(out.contains("MAP (r > .75)") && out.contains("MAP (r > .50)"))
     assert(out.contains("nDCG@5") && out.contains("nDCG@10"))
     Ranker.all.foreach(r => assert(out.contains(r.name)))
+    val headers = out.linesIterator.filter(_.startsWith("ranker")).toSeq
+    assert(headers.size == 4 && headers.forall(h => h.endsWith("% over jc") && !h.contains("%%")))
   }
 }
