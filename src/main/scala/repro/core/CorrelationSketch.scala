@@ -220,10 +220,10 @@ object CorrelationSketch {
     */
   def intersectionEstimate(a: CorrelationSketch, b: CorrelationSketch): Double = {
     if (a.isEmpty || b.isEmpty) return 0.0
-    val common = join(a, b).keyHashes
+    val (common, onlyB) = b.keyHashes.partition(a.contains)
     if (a.exact && b.exact) return common.length.toDouble
     val k = math.min(a.size, b.size)
-    val kth = kthKey(a.keyHashes ++ b.keyHashes.filterNot(a.contains), k)
+    val kth = kthKey(a.keyHashes ++ onlyB, k)
     val kInter = common.count(atOrBefore(_, kth))
     if (k <= 1) kInter.toDouble
     else kInter.toDouble / k * ((k - 1).toDouble / Hashing.hu(kth))

@@ -31,9 +31,13 @@ object FullJoin {
   /** The paired numeric columns ⟨X_{X⋈Y}, Y_{X⋈Y}⟩ of the join, each key
     * aggregated with `Mean`, in deterministic (sorted-key) order.
     */
-  def joinedColumns(a: KVTable, b: KVTable): (Array[Double], Array[Double]) = {
-    val ma = aggregateByKey(a, AggFn.Mean)
-    val mb = aggregateByKey(b, AggFn.Mean)
+  def joinedColumns(a: KVTable, b: KVTable): (Array[Double], Array[Double]) =
+    join(aggregateByKey(a, AggFn.Mean), aggregateByKey(b, AggFn.Mean))
+
+  /** The paired values of two [[aggregateByKey]] results on their shared keys
+    * (those with a finite value on both sides), in sorted-key order. */
+  def join(ma: collection.Map[String, Double],
+           mb: collection.Map[String, Double]): (Array[Double], Array[Double]) = {
     val (small, large, swapped) = if (ma.size <= mb.size) (ma, mb, false) else (mb, ma, true)
     val ks = small.keysIterator.filter(large.contains).toArray.sorted
     val xs = new Array[Double](ks.length)
@@ -54,17 +58,13 @@ object FullJoin {
     Correlations.pearson(xs, ys)
   }
 
-  /** Exact Jaccard containment of A's distinct keys in B's: |K_A∩K_B|/|K_A|
-    * — the `jc` ranking baseline of §5.4.
-    */
-  def jaccardContainment(a: KVTable, b: KVTable): Double =
-    if (a.distinctKeys.isEmpty) 0.0 else keyOverlap(a, b).toDouble / a.distinctKeys.size
-
-  /** Exact key-overlap size |K_A ∩ K_B|. */
-  def keyOverlap(a: KVTable, b: KVTable): Int = {
-    val ka = a.distinctKeys
-    val kb = b.distinctKeys
-    val (s, l) = if (ka.size <= kb.size) (ka, kb) else (kb, ka)
-    s.count(l.contains)
+  /** Exact Jaccard containment |K_A∩K_B|/|K_A| (the `jc` baseline of §5.4)
+    * over the keys that carry a finite value, as the join and sketches count. */
+  def jaccardContainment(a: KVTable, b: KVTable): Double = {
+    val ma = aggregateByKey(a, AggFn.Mean)
+    if (ma.isEmpty) 0.0 else join(ma, aggregateByKey(b, AggFn.Mean))._1.length.toDouble / ma.size
   }
+
+  /** Exact key-overlap size |K_A ∩ K_B|: the size of the join. */
+  def keyOverlap(a: KVTable, b: KVTable): Int = joinedColumns(a, b)._1.length
 }

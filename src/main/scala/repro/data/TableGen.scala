@@ -10,7 +10,6 @@ import java.util.SplittableRandom
   */
 final case class KVTable(id: String, keys: Array[String], values: Array[Double]) {
   def rows: Int = keys.length
-  lazy val distinctKeys: Set[String] = keys.toSet
 }
 
 /** A generated SBN pair with its target population correlation (§5.1). */

@@ -1,8 +1,9 @@
 package repro.eval
 
-import repro.core.CorrelationSketch
+import repro.core.{AggFn, CorrelationSketch}
 import repro.data.{FullJoin, KVTable, TableGen}
 import repro.rank.{CandidateEstimates, Metrics, Ranker, Scoring}
+import repro.stats.Correlations
 
 /** Harness for Table 1: run every scoring function over every query in a
   * collection and report MAP (r > .75, r > .50) and nDCG@5 / nDCG@10, with
@@ -37,27 +38,27 @@ object RankingEval {
   private val CaseSeed = 101L
   private val RankSeed = 7L
 
-  /** Build the per-query candidate lists. Candidates are the *truly
-    * joinable* tables (exact key overlap ≥ [[MinOverlap]], as in §5.4 where
-    * all joinable columns are retrieved per query), excluding the query
-    * itself. Ground-truth relevance is the absolute Pearson correlation of
-    * the full aggregated join.
+  /** Build the per-query candidate lists from one aggregate per table and one
+    * [[FullJoin.join]] per (query, table) pair. Candidates are the *truly
+    * joinable* other tables (join size ≥ [[MinOverlap]], as in §5.4 where all
+    * joinable columns are retrieved per query); relevance is the join's |r|,
+    * and `jc` the join size over the query's key count.
     */
   def buildCases(tables: Seq[KVTable], sketches: Map[String, CorrelationSketch]): Seq[QueryCase] = {
+    val aggs = tables.map(t => t.id -> FullJoin.aggregateByKey(t, AggFn.Mean)).toMap
     tables.flatMap { q =>
-      val candidates = tables.filter(c => c.id != q.id && FullJoin.keyOverlap(q, c) >= MinOverlap)
-      if (candidates.isEmpty) None
-      else {
-        val truth = candidates.map { c =>
-          val r = FullJoin.correlation(q, c)
-          c.id -> (if (r.isNaN) 0.0 else math.abs(r))
+      val joins = tables.collect { case c if c.id != q.id => c.id -> FullJoin.join(aggs(q.id), aggs(c.id)) }
+        .filter(_._2._1.length >= MinOverlap)
+      Option.when(joins.nonEmpty) {
+        val truth = joins.map { case (id, (xs, ys)) =>
+          val r = Correlations.pearson(xs, ys)
+          id -> (if (r.isNaN) 0.0 else math.abs(r))
         }.toMap
-        val ests = candidates.map { c =>
-          CandidateEstimates(c.id, sketches(q.id), sketches(c.id),
-            jcExact = FullJoin.jaccardContainment(q, c),
-            seed = CaseSeed ^ (q.id + c.id).hashCode.toLong)
+        val ests = joins.map { case (id, (xs, _)) =>
+          CandidateEstimates(id, sketches(q.id), sketches(id), jcExact = xs.length.toDouble / aggs(q.id).size,
+            seed = CaseSeed ^ (q.id + id).hashCode.toLong)
         }
-        Some(QueryCase(q.id, truth, ests))
+        QueryCase(q.id, truth, ests)
       }
     }
   }

@@ -12,8 +12,8 @@ import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
   */
 class SparkSketchesSpec extends SparkSpec {
 
-  // 300 pairs, so each of the 13 tasks below holds more pairs than Spark's
-  // 128-entry hash-aggregate map before its sort-based fallback
+  // 300 pairs over the 13 partitions below: each task fills many per-pair
+  // buffers, and each pair's partial buffers merge across partitions
   private lazy val tables = TableGen.nycLike(
     TableGen.CollectionConfig(numGroups = 3, pairsPerGroup = 100, minKeys = 50, maxKeys = 300),
     seed = 77L)

@@ -19,7 +19,7 @@ class Theorem1Spec extends AnyFunSuite {
     val ska = CorrelationSketch.fromColumns(p.x.keys, p.x.values, 128)
     val skb = CorrelationSketch.fromColumns(p.y.keys, p.y.values, 128)
     val sj = CorrelationSketch.join(ska, skb)
-    val joinKeys = p.x.distinctKeys.intersect(p.y.distinctKeys).toSeq
+    val joinKeys = p.x.keys.toSet.intersect(p.y.keys.toSet).toSeq
     val m = sj.n
     assert(m > 0)
     val smallest = joinKeys.map(Hashing.h).sortBy(h => (Hashing.hu(h), h)).take(m).toSet
@@ -28,7 +28,7 @@ class Theorem1Spec extends AnyFunSuite {
 
   test("the structural property holds across sketch sizes") {
     val p = sbn(2, n = 2000, r = -0.3, c = 0.5)
-    val joinKeys = p.x.distinctKeys.intersect(p.y.distinctKeys).toSeq
+    val joinKeys = p.x.keys.toSet.intersect(p.y.keys.toSet).toSeq
     for (n <- Seq(16, 64, 256)) {
       val sj = CorrelationSketch.join(
         CorrelationSketch.fromColumns(p.x.keys, p.x.values, n),

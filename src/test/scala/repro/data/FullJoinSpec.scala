@@ -3,7 +3,7 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.AggFn
+import repro.core.{AggFn, CorrelationSketch}
 
 class FullJoinSpec extends SparkSpec {
 
@@ -68,6 +68,16 @@ class FullJoinSpec extends SparkSpec {
   test("containment of an empty table is zero") {
     val empty = KVTable("e", Array.empty, Array.empty)
     assert(FullJoin.jaccardContainment(empty, tx) == 0.0)
+  }
+
+  test("a key with no finite value counts in neither the overlap nor jc") {
+    val q = KVTable("q", Array("x", "y", "w"), Array(Double.NaN, 1.0, 4.0))
+    val c = KVTable("c", Array("x", "y"), Array(2.0, 5.0))
+    assert(FullJoin.keyOverlap(q, c) == 1)
+    assert(FullJoin.keyOverlap(q, c) == FullJoin.joinedColumns(q, c)._1.length)
+    assert(FullJoin.jaccardContainment(q, c) == 0.5)
+    val sketch = (t: KVTable) => CorrelationSketch.fromColumns(t.keys, t.values, 16)
+    assert(FullJoin.jaccardContainment(q, c) == CorrelationSketch.containmentEstimate(sketch(q), sketch(c)))
   }
 
   test("Spark joinedDF matches the local join (oracle-checked vs DuckDB)") {

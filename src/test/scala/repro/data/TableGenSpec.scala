@@ -8,7 +8,7 @@ class TableGenSpec extends SparkSpec {
   test("sbnPair produces the requested row count and unique keys") {
     val p = TableGen.sbnPair("t", n = 1000, targetR = 0.5, joinProb = 1.0, seed = 1L)
     assert(p.x.rows == 1000)
-    assert(p.x.distinctKeys.size == 1000)
+    assert(p.x.keys.distinct.length == 1000)
   }
 
   test("sbnPair hits the target correlation for large n") {
@@ -61,7 +61,7 @@ class TableGenSpec extends SparkSpec {
       minKeys = 40, maxKeys = 40), seed = 10L)
     assert(ts.size == 6)
     ts.groupBy(_.id.takeWhile(_ != ':')).values.foreach { g =>
-      assert(g.flatMap(_.distinctKeys).toSet.size <= 40)
+      assert(g.flatMap(_.keys).toSet.size <= 40)
     }
     assertThrows[IllegalArgumentException](
       TableGen.nycLike(TableGen.CollectionConfig(minKeys = 0, maxKeys = 5)))
@@ -70,7 +70,7 @@ class TableGenSpec extends SparkSpec {
   test("nycLike contains duplicated keys (repeated categorical values)") {
     val ts = TableGen.nycLike(TableGen.CollectionConfig(numGroups = 1, pairsPerGroup = 5,
       minKeys = 200, maxKeys = 400), seed = 7L)
-    assert(ts.exists(t => t.rows > t.distinctKeys.size))
+    assert(ts.exists(t => t.rows > t.keys.distinct.length))
   }
 
   test("nycLike plants both strong and weak correlations within groups") {

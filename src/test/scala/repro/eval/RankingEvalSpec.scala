@@ -2,7 +2,7 @@ package repro.eval
 
 import repro.SparkSpec
 import repro.core.{CorrelationSketch, SparkSketches}
-import repro.data.TableGen
+import repro.data.{FullJoin, TableGen}
 import repro.rank.Ranker
 
 class RankingEvalSpec extends SparkSpec {
@@ -23,6 +23,22 @@ class RankingEvalSpec extends SparkSpec {
     cases.foreach { qc =>
       val g = qc.queryId.split(':')(0)
       qc.cands.foreach(c => assert(c.id.startsWith(g + ":")))
+    }
+  }
+
+  test("candidates, truths and jc equal the exact overlap, correlation and containment") {
+    val byId = tables.map(t => t.id -> t).toMap
+    val expected = tables.map { q =>
+      q.id -> tables.filter(c => c.id != q.id && FullJoin.keyOverlap(q, c) >= 3).map(_.id)
+    }.filter(_._2.nonEmpty)
+    assert(cases.map(qc => qc.queryId -> qc.cands.map(_.id)) == expected)
+    cases.foreach { qc =>
+      val q = byId(qc.queryId)
+      qc.cands.foreach { c =>
+        val r = FullJoin.correlation(q, byId(c.id))
+        assert(qc.truth(c.id) == (if (r.isNaN) 0.0 else math.abs(r)), s"${qc.queryId} ${c.id}")
+        assert(c.jcExact == FullJoin.jaccardContainment(q, byId(c.id)), s"${qc.queryId} ${c.id}")
+      }
     }
   }
 
