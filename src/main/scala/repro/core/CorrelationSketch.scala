@@ -5,7 +5,7 @@ import scala.collection.mutable
 /** Per-key aggregation state kept while a sketch is under construction.
   * Carries enough to finalize any [[AggFn]] and to merge across partitions.
   */
-final class KeyState private () extends Serializable {
+final class KeyState extends Serializable {
   // -0.0 is the additive identity: -0.0 + v == v bit for bit, even for v = ±0.0.
   var sum: Double = -0.0
   var count: Long = 0L
@@ -22,11 +22,6 @@ final class KeyState private () extends Serializable {
     if (o.min < min) min = o.min
     if (o.max > max) max = o.max
   }
-}
-
-object KeyState {
-  /** The state of a key with no values yet. */
-  def empty(): KeyState = new KeyState
 }
 
 /** Mutable, mergeable builder for a [[CorrelationSketch]] (§3.1).
@@ -59,7 +54,7 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
     rows += 1L
     if (value < xMin) xMin = value
     if (value > xMax) xMax = value
-    entries.getOrElseUpdate(Hashing.h(key), KeyState.empty()).add(value)
+    entries.getOrElseUpdate(Hashing.h(key), new KeyState).add(value)
     if (entries.size > 2 * maxSize) prune()
   }
 
@@ -72,7 +67,7 @@ final class SketchBuffer(val maxSize: Int) extends Serializable {
 
   def merge(other: SketchBuffer): SketchBuffer = {
     require(other.maxSize == maxSize, "cannot merge sketches of different max size")
-    other.entries.foreach { case (h, st) => entries.getOrElseUpdate(h, KeyState.empty()).mergeWith(st) }
+    other.entries.foreach { case (h, st) => entries.getOrElseUpdate(h, new KeyState).mergeWith(st) }
     if (entries.size > 2 * maxSize) prune()
     everTruncated ||= other.everTruncated
     rows += other.rows

@@ -22,7 +22,7 @@ object FullJoin {
     var i = 0
     while (i < t.rows) {
       val k = t.keys(i); val v = t.values(i)
-      if (java.lang.Double.isFinite(v)) states.getOrElseUpdate(k, KeyState.empty()).add(v)
+      if (java.lang.Double.isFinite(v)) states.getOrElseUpdate(k, new KeyState).add(v)
       i += 1
     }
     states.map { case (k, st) => k -> agg(st) }

@@ -50,10 +50,7 @@ object RankingEval {
       val joins = tables.collect { case c if c.id != q.id => c.id -> FullJoin.join(aggs(q.id), aggs(c.id)) }
         .filter(_._2._1.length >= MinOverlap)
       Option.when(joins.nonEmpty) {
-        val truth = joins.map { case (id, (xs, ys)) =>
-          val r = Correlations.pearson(xs, ys)
-          id -> (if (r.isNaN) 0.0 else math.abs(r))
-        }.toMap
+        val truth = joins.map { case (id, (xs, ys)) => id -> Scoring.absOrZero(Correlations.pearson(xs, ys)) }.toMap
         val ests = joins.map { case (id, (xs, _)) =>
           CandidateEstimates(id, sketches(q.id), sketches(id), jcExact = xs.length.toDouble / aggs(q.id).size,
             seed = CaseSeed ^ (q.id + id).hashCode.toLong)

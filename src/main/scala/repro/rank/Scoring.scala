@@ -91,7 +91,8 @@ object Ranker {
 
 object Scoring {
 
-  @inline private def absOrZero(r: Double): Double = if (r.isNaN) 0.0 else math.abs(r)
+  /** |r|, with an undefined (NaN) correlation read as 0. */
+  @inline private[repro] def absOrZero(r: Double): Double = if (r.isNaN) 0.0 else math.abs(r)
 
   /** se_z penalization factor: 1 − 1/√(max(4, n) − 3) (§4.4). */
   def sez(n: Int): Double = 1.0 - ConfidenceBounds.fisherZse(n)

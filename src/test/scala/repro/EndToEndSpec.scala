@@ -13,10 +13,7 @@ import repro.stats.Correlations
   */
 class EndToEndSpec extends SparkSpec {
 
-  private lazy val tables = TableGen.nycLike(
-    TableGen.CollectionConfig(numGroups = 4, pairsPerGroup = 10, minKeys = 300,
-      maxKeys = 800, strongFraction = 0.3),
-    seed = 123L)
+  private def tables = Fixtures.endToEndTables
   private lazy val sketches: Map[String, CorrelationSketch] =
     SparkSketches.buildAll(TableGen.toDF(spark, tables), "pair", "key", "value", 256)
   private lazy val byId = tables.map(t => t.id -> t).toMap
@@ -25,10 +22,7 @@ class EndToEndSpec extends SparkSpec {
   private lazy val interestingQuery: (String, Seq[(String, Double)]) = {
     val found = tables.view.map { q =>
       val truths = tables.filter(c => c.id != q.id && FullJoin.keyOverlap(q, c) >= 3)
-        .map { c =>
-          val r = FullJoin.correlation(q, c)
-          c.id -> (if (r.isNaN) 0.0 else math.abs(r))
-        }
+        .map(c => c.id -> Scoring.absOrZero(FullJoin.correlation(q, c)))
       q.id -> truths
     }.find(_._2.exists(_._2 > 0.6))
     assert(found.isDefined, "collection should plant a strong correlation")

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Fixtures.{HuTies, bottomK}
 import repro.PropSupport
 
 import scala.util.hashing.MurmurHash3
@@ -10,15 +11,6 @@ import scala.util.hashing.MurmurHash3
   * applies it and as [[CorrelationSketch.kthKey]] cuts it.
   */
 class BottomKSpec extends AnyFunSuite with PropSupport {
-
-  /** Pairs of distinct hashes with equal hu, the smaller hash first. */
-  private val Ties = Seq((-974566505, 875382632), (-2062619302, -298033407), (-1377896724, 1981316737))
-
-  /** The bottom-k as first written: distinct hashes sorted by (hu, hash)
-    * tuples, the first k kept.
-    */
-  private def referenceBottomK(hashes: Seq[Int], k: Int): Seq[Int] =
-    hashes.distinct.sortBy(h => (Hashing.hu(h), h)).take(k)
 
   /** A two-char key whose `Hashing.h` is `target`. MurmurHash3 hashes two
     * chars as one `mix` of their 32 bits and a `finalizeHash`; both are
@@ -37,7 +29,7 @@ class BottomKSpec extends AnyFunSuite with PropSupport {
   }
 
   test("a hu tie at the builder's cut keeps the smaller hash in every build path") {
-    for ((t1, t2) <- Ties; low <- Seq(0, 3, 20)) {
+    for ((t1, t2) <- HuTies; low <- Seq(0, 3, 20)) {
       val (k1, k2) = (keyWithHash(t1), keyWithHash(t2))
       assert(Hashing.h(k1) == t1 && Hashing.h(k2) == t2 && Hashing.hu(t1) == Hashing.hu(t2))
       val uT = Hashing.hu(t1)
@@ -47,7 +39,7 @@ class BottomKSpec extends AnyFunSuite with PropSupport {
       val below = Iterator.from(0).map(i => s"lo$i").filter(Hashing.g(_) < uT).take(low).toSeq
       val above = Iterator.from(0).map(i => s"hi$i").filter(Hashing.g(_) > uT).take(2 * maxSize).toSeq
       def expected(keys: Seq[String]) = {
-        val cut = referenceBottomK(keys.map(Hashing.h), maxSize)
+        val cut = bottomK(keys.map(Hashing.h), maxSize)
         assert(cut.contains(t1) && !cut.contains(t2))
         cut.sorted
       }
@@ -72,7 +64,7 @@ class BottomKSpec extends AnyFunSuite with PropSupport {
   test("the k-th key cuts the same keys as the (hu, hash) tuple sort, for every k (property)") {
     val hashesGen = for {
       n <- Gen.chooseNum(1, 300)
-      ties <- Gen.someOf(Ties.flatMap { case (t1, t2) => Seq(t1, t2) })
+      ties <- Gen.someOf(HuTies.flatMap { case (t1, t2) => Seq(t1, t2) })
       rest <- Gen.listOfN(n, Gen.chooseNum(Int.MinValue, Int.MaxValue))
       seed <- Gen.long
     } yield new scala.util.Random(seed).shuffle((ties.toSeq ++ rest).distinct.take(n))
@@ -81,7 +73,7 @@ class BottomKSpec extends AnyFunSuite with PropSupport {
       Prop.all((1 to arr.length).map { k =>
         val kth = CorrelationSketch.kthKey(arr, k)
         val cut = arr.filter(CorrelationSketch.atOrBefore(_, kth)).sorted.toSeq
-        Prop(cut == referenceBottomK(hashes, k).sorted) :| s"k=$k of ${arr.length}"
+        Prop(cut == bottomK(hashes, k).sorted) :| s"k=$k of ${arr.length}"
       }: _*)
     })
   }

@@ -1,13 +1,14 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Fixtures.{bottomK, keySketch, same}
 
 class CorrelationSketchSpec extends AnyFunSuite {
 
   private def keysOf(n: Int, prefix: String = "k") = Array.tabulate(n)(i => s"$prefix$i")
 
   test("sketch size never exceeds maxSize") {
-    val sk = CorrelationSketch.fromColumns(keysOf(1000), Array.fill(1000)(1.0), 64)
+    val sk = keySketch(keysOf(1000), 64)
     assert(sk.size == 64)
   }
 
@@ -18,24 +19,24 @@ class CorrelationSketchSpec extends AnyFunSuite {
   }
 
   test("sketch over more distinct keys than maxSize is not exact") {
-    val sk = CorrelationSketch.fromColumns(keysOf(500), Array.fill(500)(1.0), 64)
+    val sk = keySketch(keysOf(500), 64)
     assert(!sk.exact)
   }
 
   test("kept keys are exactly the maxSize smallest by hu") {
     val keys = keysOf(300)
-    val sk = CorrelationSketch.fromColumns(keys, Array.fill(300)(0.0), 32)
-    val expected = keys.map(Hashing.h).sortBy(h => (Hashing.hu(h), h)).take(32).toSet
+    val sk = keySketch(keys, 32, value = 0.0)
+    val expected = bottomK(keys.map(Hashing.h), 32).toSet
     assert(sk.keyHashes.toSet == expected)
   }
 
   test("keyHashes are sorted ascending") {
-    val sk = CorrelationSketch.fromColumns(keysOf(200), Array.fill(200)(1.0), 50)
+    val sk = keySketch(keysOf(200), 50)
     assert(sk.keyHashes.toSeq == sk.keyHashes.sorted.toSeq)
   }
 
   test("threshold is the maximum hu over kept keys") {
-    val sk = CorrelationSketch.fromColumns(keysOf(200), Array.fill(200)(1.0), 50)
+    val sk = keySketch(keysOf(200), 50)
     assert(sk.threshold == sk.keyHashes.map(Hashing.hu).max)
   }
 
@@ -118,8 +119,8 @@ class CorrelationSketchSpec extends AnyFunSuite {
     // Stream 10k keys through a size-8 sketch; the 8 globally-smallest-hu
     // keys must survive regardless of arrival position.
     val keys = keysOf(10000, "p")
-    val sk = CorrelationSketch.fromColumns(keys, Array.fill(10000)(1.0), 8)
-    val expect = keys.map(Hashing.h).sortBy(h => (Hashing.hu(h), h)).take(8).toSet
+    val sk = keySketch(keys, 8)
+    val expect = bottomK(keys.map(Hashing.h), 8).toSet
     assert(sk.keyHashes.toSet == expect)
   }
 
@@ -171,7 +172,6 @@ class CorrelationSketchSpec extends AnyFunSuite {
       assert(got.keyHashes.sameElements(want.keyHashes) && got.xs.sameElements(want.xs) &&
         got.ys.sameElements(want.ys), s"${a.keyHashes.toSeq} vs ${b.keyHashes.toSeq}")
       // an empty side has a NaN range, so NaN counts as equal to NaN
-      def same(x: Double, y: Double) = x == y || (x.isNaN && y.isNaN)
       assert(same(got.cLow, want.cLow) && same(got.cHigh, want.cHigh))
       assert(got.keyHashes.length == want.n && got.xs.length == want.n && got.ys.length == want.n)
       got
@@ -214,7 +214,7 @@ class CorrelationSketchSpec extends AnyFunSuite {
       val v = sk.keyHashes.zip(sk.values).toMap.apply(Hashing.h(kept))
       assert(v == 10.0) // mean of 10.0, 10.0
     }
-    val expect = all.distinct.map(Hashing.h).sortBy(h => (Hashing.hu(h), h)).take(8).toSet
+    val expect = bottomK(all.map(Hashing.h), 8).toSet
     assert(sk.keyHashes.toSet == expect)
   }
 }

@@ -1,14 +1,12 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Fixtures.{HuTies, bottomK, keySketch}
 
 /** The KMV-family estimators retained by the sketch (§2.1, §3.3):
   * distinct values, intersection size (Eq. 1) and containment.
   */
 class KmvEstimatorSpec extends AnyFunSuite {
-
-  private def sketchOf(keys: Seq[String], n: Int): CorrelationSketch =
-    CorrelationSketch.fromColumns(keys.toArray, Array.fill(keys.size)(1.0), n)
 
   private def sketchOfHashes(hashes: Seq[Int], exact: Boolean): CorrelationSketch = {
     val hs = hashes.distinct.sorted.toArray
@@ -16,18 +14,17 @@ class KmvEstimatorSpec extends AnyFunSuite {
       exact = exact, rows = hs.length.toLong)
   }
 
-  /** Eq. 1 as first written: the boxed union of both hash arrays sorted by
-    * (hu, hash) tuples, its bottom-k membership found by binary search, and
-    * a full sketch join to count the exact case.
+  /** Eq. 1 as first written: the bottom-k of the boxed union of both hash
+    * arrays, its membership found by binary search, and a full sketch join
+    * to count the exact case.
     */
   private def referenceIntersection(a: CorrelationSketch, b: CorrelationSketch): Double = {
     if (a.isEmpty || b.isEmpty) return 0.0
     if (a.exact && b.exact) return CorrelationSketch.join(a, b).n.toDouble
     val k = math.min(a.size, b.size)
-    val union = (a.keyHashes ++ b.keyHashes).distinct
-    val bottomK = union.sortBy(h => (Hashing.hu(h), h)).take(k)
-    val kInter = bottomK.count(h => a.contains(h) && b.contains(h))
-    val uK = Hashing.hu(bottomK.last)
+    val cut = bottomK(a.keyHashes ++ b.keyHashes, k)
+    val kInter = cut.count(h => a.contains(h) && b.contains(h))
+    val uK = Hashing.hu(cut.last)
     if (k <= 1) kInter.toDouble
     else kInter.toDouble / k * ((k - 1).toDouble / uK)
   }
@@ -39,18 +36,18 @@ class KmvEstimatorSpec extends AnyFunSuite {
   }
 
   test("distinct estimate is exact for sketches holding all keys") {
-    val sk = sketchOf((0 until 37).map(i => s"d$i"), 64)
+    val sk = keySketch((0 until 37).map(i => s"d$i"), 64)
     assert(sk.distinctEstimate == 37.0)
   }
 
   test("distinct estimate is exact even with repeated keys") {
     val keys = (0 until 20).flatMap(i => Seq(s"d$i", s"d$i"))
-    assert(sketchOf(keys, 64).distinctEstimate == 20.0)
+    assert(keySketch(keys, 64).distinctEstimate == 20.0)
   }
 
   test("truncated distinct estimate approximates the true cardinality") {
     val trueD = 20000
-    val sk = sketchOf((0 until trueD).map(i => s"card$i"), 256)
+    val sk = keySketch((0 until trueD).map(i => s"card$i"), 256)
     val est = sk.distinctEstimate
     assert(math.abs(est - trueD) / trueD < 0.2, s"estimate $est vs $trueD")
   }
@@ -58,13 +55,13 @@ class KmvEstimatorSpec extends AnyFunSuite {
   test("distinct estimate improves with sketch size") {
     val trueD = 20000
     val keys = (0 until trueD).map(i => s"card$i")
-    val err = (n: Int) => math.abs(sketchOf(keys, n).distinctEstimate - trueD) / trueD
+    val err = (n: Int) => math.abs(keySketch(keys, n).distinctEstimate - trueD) / trueD
     assert(err(1024) < 0.1)
   }
 
   test("intersection estimate is exact when both sketches are exact") {
-    val a = sketchOf((0 until 30).map(i => s"i$i"), 64)
-    val b = sketchOf((10 until 50).map(i => s"i$i"), 64)
+    val a = keySketch((0 until 30).map(i => s"i$i"), 64)
+    val b = keySketch((10 until 50).map(i => s"i$i"), 64)
     assert(CorrelationSketch.intersectionEstimate(a, b) == 20.0)
     // hashes of opposite sign more than 2^31 apart must still be ordered right
     val wide = CorrelationSketch(Array(-2000000000, 2000000000), Array(1.0, 2.0),
@@ -92,14 +89,13 @@ class KmvEstimatorSpec extends AnyFunSuite {
       } else {
         // built bottom-k sketches of overlapping key ranges: exact below `size` keys
         val start = math.round((1.0 - shared) * nA).toInt
-        assertMatchesReference(sketchOf((0 until nA).map(i => s"r$i"), size),
-          sketchOf((start until start + nB).map(i => s"r$i"), size))
+        assertMatchesReference(keySketch((0 until nA).map(i => s"r$i"), size),
+          keySketch((start until start + nB).map(i => s"r$i"), size))
       }
     }
     // Pairs of distinct hashes with equal hu: the bottom-k breaks the tie by hash.
-    val ties = Seq((-974566505, 875382632), (-2062619302, -298033407), (-1377896724, 1981316737))
     var tiedAtUk = 0
-    for ((t1, t2) <- ties) {
+    for ((t1, t2) <- HuTies) {
       assert(t1 != t2 && Hashing.hu(t1) == Hashing.hu(t2))
       for (_ <- 0 until 200) {
         val pool = Seq(t1, t2) ++ Seq.fill(4)(rng.nextInt())
@@ -115,41 +111,41 @@ class KmvEstimatorSpec extends AnyFunSuite {
   }
 
   test("intersection estimate approximates true overlap for truncated sketches") {
-    val a = sketchOf((0 until 10000).map(i => s"ov$i"), 512)
-    val b = sketchOf((5000 until 15000).map(i => s"ov$i"), 512)
+    val a = keySketch((0 until 10000).map(i => s"ov$i"), 512)
+    val b = keySketch((5000 until 15000).map(i => s"ov$i"), 512)
     val est = CorrelationSketch.intersectionEstimate(a, b)
     assert(math.abs(est - 5000) / 5000 < 0.3, s"estimate $est vs 5000")
   }
 
   test("intersection estimate of disjoint sets is zero-ish") {
-    val a = sketchOf((0 until 5000).map(i => s"xa$i"), 256)
-    val b = sketchOf((0 until 5000).map(i => s"xb$i"), 256)
+    val a = keySketch((0 until 5000).map(i => s"xa$i"), 256)
+    val b = keySketch((0 until 5000).map(i => s"xb$i"), 256)
     val est = CorrelationSketch.intersectionEstimate(a, b)
     assert(est <= 200.0, s"estimate $est for disjoint sets")
   }
 
   test("containment of a subset in its superset is 1 (exact sketches)") {
-    val sub = sketchOf((0 until 20).map(i => s"c$i"), 64)
-    val sup = sketchOf((0 until 40).map(i => s"c$i"), 64)
+    val sub = keySketch((0 until 20).map(i => s"c$i"), 64)
+    val sup = keySketch((0 until 40).map(i => s"c$i"), 64)
     assert(CorrelationSketch.containmentEstimate(sub, sup) == 1.0)
   }
 
   test("containment is asymmetric") {
-    val sub = sketchOf((0 until 20).map(i => s"c$i"), 64)
-    val sup = sketchOf((0 until 40).map(i => s"c$i"), 64)
+    val sub = keySketch((0 until 20).map(i => s"c$i"), 64)
+    val sup = keySketch((0 until 40).map(i => s"c$i"), 64)
     assert(CorrelationSketch.containmentEstimate(sup, sub) == 0.5)
   }
 
   test("containment estimate stays within [0, 1] for truncated sketches") {
-    val a = sketchOf((0 until 8000).map(i => s"jc$i"), 128)
-    val b = sketchOf((4000 until 20000).map(i => s"jc$i"), 128)
+    val a = keySketch((0 until 8000).map(i => s"jc$i"), 128)
+    val b = keySketch((4000 until 20000).map(i => s"jc$i"), 128)
     val est = CorrelationSketch.containmentEstimate(a, b)
     assert(est >= 0.0 && est <= 1.0)
   }
 
   test("empty sketches produce zero estimates") {
-    val e = sketchOf(Seq.empty, 16)
-    val a = sketchOf(Seq("a"), 16)
+    val e = keySketch(Seq.empty, 16)
+    val a = keySketch(Seq("a"), 16)
     assert(CorrelationSketch.intersectionEstimate(e, a) == 0.0)
     assert(CorrelationSketch.containmentEstimate(e, a) == 0.0)
   }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerStageSubmitted, StageInfo}
-import repro.SparkSpec
+import repro.{Fixtures, SparkSpec}
 import repro.data.TableGen
 import repro.stats.{ConfidenceBounds, Correlations}
 
@@ -23,22 +23,22 @@ class SparkSketchesSpec extends SparkSpec {
     SparkSketches.buildAll(df, "pair", "key", "value", maxSize = 64)
   }
 
+  private lazy val localSketches = Fixtures.sketches(tables, 64)
+
   test("buildAll returns one sketch per column pair") {
     assert(sparkSketches.keySet == tables.map(_.id).toSet)
   }
 
   test("distributed sketches keep exactly the same keys as local builds") {
     tables.foreach { t =>
-      val local = CorrelationSketch.fromColumns(t.keys, t.values, 64)
-      assert(sparkSketches(t.id).keyHashes.toSeq == local.keyHashes.toSeq,
+      assert(sparkSketches(t.id).keyHashes.toSeq == localSketches(t.id).keyHashes.toSeq,
         s"key mismatch for ${t.id}")
     }
   }
 
   test("distributed aggregated values match local builds") {
     tables.foreach { t =>
-      val local = CorrelationSketch.fromColumns(t.keys, t.values, 64)
-      sparkSketches(t.id).values.zip(local.values).foreach { case (a, b) =>
+      sparkSketches(t.id).values.zip(localSketches(t.id).values).foreach { case (a, b) =>
         assert(math.abs(a - b) < 1e-9, s"value mismatch for ${t.id}: $a vs $b")
       }
     }
@@ -54,8 +54,7 @@ class SparkSketchesSpec extends SparkSpec {
 
   test("exactness flag survives distribution") {
     tables.foreach { t =>
-      val local = CorrelationSketch.fromColumns(t.keys, t.values, 64)
-      assert(sparkSketches(t.id).exact == local.exact, s"exact mismatch for ${t.id}")
+      assert(sparkSketches(t.id).exact == localSketches(t.id).exact, s"exact mismatch for ${t.id}")
     }
   }
 
@@ -79,7 +78,7 @@ class SparkSketchesSpec extends SparkSpec {
     val keys = t.keys ++ t.keys.distinct ++ Array(t.keys(0), t.keys(1), "only-non-finite")
     val values = t.values ++ t.keys.distinct.map(_ => Double.NaN) ++
       Array(Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN)
-    val clean = CorrelationSketch.fromColumns(t.keys, t.values, 64)
+    val clean = localSketches(t.id)
     val local = CorrelationSketch.fromColumns(keys, values, 64)
     val df = keys.zip(values).toSeq.map { case (k, v) => ("d", k, v) }
       .toDF("pair", "key", "value").repartition(5)
@@ -125,8 +124,7 @@ class SparkSketchesSpec extends SparkSpec {
     val built = SparkSketches.buildAll(df, "pair", "key", "value", maxSize = 64)
     def bits(xs: Array[Double]) = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
     tables.foreach { t =>
-      val local = CorrelationSketch.fromColumns(t.keys, t.values, 64)
-      val sk = built(t.id)
+      val (sk, local) = (built(t.id), localSketches(t.id))
       assert(sk.keyHashes.toSeq == local.keyHashes.toSeq, s"key mismatch for ${t.id}")
       assert(bits(sk.values) == bits(local.values), s"value bits differ for ${t.id}")
       assert((sk.rows, sk.xMin, sk.xMax, sk.exact) == (local.rows, local.xMin, local.xMax, local.exact))

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Fixtures.{bottomK, keySketch}
 import repro.data.{FullJoin, TableGen}
 import repro.stats.Correlations
 
@@ -22,7 +23,7 @@ class Theorem1Spec extends AnyFunSuite {
     val joinKeys = p.x.keys.toSet.intersect(p.y.keys.toSet).toSeq
     val m = sj.n
     assert(m > 0)
-    val smallest = joinKeys.map(Hashing.h).sortBy(h => (Hashing.hu(h), h)).take(m).toSet
+    val smallest = bottomK(joinKeys.map(Hashing.h), m).toSet
     assert(sj.keyHashes.toSet == smallest)
   }
 
@@ -33,7 +34,7 @@ class Theorem1Spec extends AnyFunSuite {
       val sj = CorrelationSketch.join(
         CorrelationSketch.fromColumns(p.x.keys, p.x.values, n),
         CorrelationSketch.fromColumns(p.y.keys, p.y.values, n))
-      val smallest = joinKeys.map(Hashing.h).sortBy(h => (Hashing.hu(h), h)).take(sj.n).toSet
+      val smallest = bottomK(joinKeys.map(Hashing.h), sj.n).toSet
       assert(sj.keyHashes.toSet == smallest, s"failed at sketch size $n")
     }
   }
@@ -69,8 +70,8 @@ class Theorem1Spec extends AnyFunSuite {
     // here); hu-based selection gives ≈ n.
     val n = 128; val bigN = 5000
     val keys = Array.tabulate(bigN)(i => s"dep$i")
-    val a = CorrelationSketch.fromColumns(keys, Array.fill(bigN)(1.0), n)
-    val b = CorrelationSketch.fromColumns(keys, Array.fill(bigN)(2.0), n)
+    val a = keySketch(keys, n)
+    val b = keySketch(keys, n, value = 2.0)
     assert(CorrelationSketch.join(a, b).n == n)
   }
 
@@ -78,8 +79,7 @@ class Theorem1Spec extends AnyFunSuite {
     val shared = (0 until 2000).map(i => s"ov$i")
     val onlyA = (0 until 2000).map(i => s"a$i")
     val onlyB = (0 until 2000).map(i => s"b$i")
-    val mk = (ks: Seq[String]) =>
-      CorrelationSketch.fromColumns(ks.toArray, Array.fill(ks.size)(1.0), 128)
+    val mk = (ks: Seq[String]) => keySketch(ks, 128)
     val high = CorrelationSketch.join(mk(shared), mk(shared)).n
     val low = CorrelationSketch.join(mk(shared ++ onlyA), mk(shared ++ onlyB)).n
     assert(high == 128)

@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{AggFn, CorrelationSketch}
@@ -12,13 +12,28 @@ class FullJoinSpec extends SparkSpec {
     * key, and return columns (k, x, y). Semantics must match
     * [[FullJoin.joinedColumns]].
     */
-  private def joinedDF(spark: SparkSession, a: KVTable, b: KVTable): DataFrame = {
+  private def joinedDF(a: KVTable, b: KVTable): DataFrame = {
     def finite(t: KVTable) = TableGen.toDF(spark, Seq(t))
       .filter(!isnan(col("value")) && abs(col("value")) =!= Double.PositiveInfinity)
     val dfA = finite(a).groupBy(col("key").as("k")).agg(avg("value").as("x"))
     val dfB = finite(b).groupBy(col("key").as("kb")).agg(avg("value").as("y"))
     dfA.join(dfB, col("k") === col("kb")).select(col("k"), col("x"), col("y"))
   }
+
+  /** The rows of [[joinedDF]] as (k, x, y), sorted by key. */
+  private def joinedRows(a: KVTable, b: KVTable): Seq[(String, Double, Double)] =
+    joinedDF(a, b).collect().map(r => (r.getString(0), r.getDouble(1), r.getDouble(2))).sortBy(_._1).toSeq
+
+  /** Checks `sparkDf` against DuckDB running `select` over tx and ty
+    * mean-aggregated per key as the views ax(k, x) and bx(kb, y).
+    */
+  private def assertOracle(sparkDf: DataFrame, select: String): Unit =
+    Oracle.assertEquivalent(sparkDf,
+      """WITH ax AS (SELECT key AS k, AVG(CAST(value AS DOUBLE)) AS x FROM tx GROUP BY key),
+        |     bx AS (SELECT key AS kb, AVG(CAST(value AS DOUBLE)) AS y FROM ty GROUP BY key)
+        |""".stripMargin + select,
+      "tx" -> TableGen.toDF(spark, Seq(tx)),
+      "ty" -> TableGen.toDF(spark, Seq(ty)))
 
   private val tx = KVTable("tx",
     Array("2021-01", "2021-02", "2021-03", "2021-04", "2021-05", "2021-06", "2021-07"),
@@ -81,28 +96,17 @@ class FullJoinSpec extends SparkSpec {
   }
 
   test("Spark joinedDF matches the local join (oracle-checked vs DuckDB)") {
-    val sparkDf = joinedDF(spark, tx, ty)
-    Oracle.assertEquivalent(sparkDf,
-      """WITH ax AS (SELECT key AS k, AVG(CAST(value AS DOUBLE)) AS x FROM tx GROUP BY key),
-        |     bx AS (SELECT key AS kb, AVG(CAST(value AS DOUBLE)) AS y FROM ty GROUP BY key)
-        |SELECT k, x, y FROM ax JOIN bx ON ax.k = bx.kb""".stripMargin,
-      "tx" -> TableGen.toDF(spark, Seq(tx)),
-      "ty" -> TableGen.toDF(spark, Seq(ty)))
+    assertOracle(joinedDF(tx, ty), "SELECT k, x, y FROM ax JOIN bx ON ax.k = bx.kb")
   }
 
   test("Spark post-join correlation matches DuckDB corr (oracle-checked)") {
-    val sparkDf = joinedDF(spark, tx, ty).agg(corr("x", "y").as("c"))
-    Oracle.assertEquivalent(sparkDf,
-      """WITH ax AS (SELECT key AS k, AVG(CAST(value AS DOUBLE)) AS x FROM tx GROUP BY key),
-        |     bx AS (SELECT key AS kb, AVG(CAST(value AS DOUBLE)) AS y FROM ty GROUP BY key)
-        |SELECT corr(x, y) AS c FROM ax JOIN bx ON ax.k = bx.kb""".stripMargin,
-      "tx" -> TableGen.toDF(spark, Seq(tx)),
-      "ty" -> TableGen.toDF(spark, Seq(ty)))
+    assertOracle(joinedDF(tx, ty).agg(corr("x", "y").as("c")),
+      "SELECT corr(x, y) AS c FROM ax JOIN bx ON ax.k = bx.kb")
   }
 
   test("local ground-truth correlation equals the Spark/DuckDB-checked value") {
     val rLocal = FullJoin.correlation(tx, ty)
-    val rSpark = joinedDF(spark, tx, ty).agg(corr("x", "y"))
+    val rSpark = joinedDF(tx, ty).agg(corr("x", "y"))
       .collect()(0).getDouble(0)
     assert(math.abs(rLocal - rSpark) < 1e-9)
   }
@@ -114,17 +118,13 @@ class FullJoinSpec extends SparkSpec {
     val (xs, ys) = FullJoin.joinedColumns(tx, ty)
     val (dxs, dys) = FullJoin.joinedColumns(tx, dirty)
     assert(dxs.toSeq == xs.toSeq && dys.toSeq == ys.toSeq)
-    val rows = (t: KVTable) => joinedDF(spark, tx, t).collect()
-      .map(r => (r.getString(0), r.getDouble(1), r.getDouble(2))).sortBy(_._1).toSeq
-    assert(rows(dirty) == rows(ty))
+    assert(joinedRows(tx, dirty) == joinedRows(tx, ty))
   }
 
   test("local and Spark joins agree on a larger generated pair") {
     val p = TableGen.sbnPair("fj", n = 500, targetR = 0.4, joinProb = 0.7, seed = 12L)
     val (xs, ys) = FullJoin.joinedColumns(p.x, p.y)
-    val rows = joinedDF(spark, p.x, p.y).collect()
-      .map(r => (r.getString(0), r.getDouble(1), r.getDouble(2)))
-      .sortBy(_._1)
+    val rows = joinedRows(p.x, p.y)
     assert(rows.length == xs.length)
     assert(rows.map(_._2).toSeq == xs.toSeq)
     assert(rows.map(_._3).toSeq == ys.toSeq)

@@ -1,18 +1,14 @@
 package repro.eval
 
-import repro.SparkSpec
-import repro.core.{CorrelationSketch, SparkSketches}
-import repro.data.{FullJoin, TableGen}
-import repro.rank.Ranker
+import org.scalatest.funsuite.AnyFunSuite
+import repro.Fixtures
+import repro.data.FullJoin
+import repro.rank.{Ranker, Scoring}
 
-class RankingEvalSpec extends SparkSpec {
+class RankingEvalSpec extends AnyFunSuite {
 
-  private lazy val tables = TableGen.nycLike(
-    TableGen.CollectionConfig(numGroups = 3, pairsPerGroup = 8, minKeys = 150, maxKeys = 400),
-    seed = 55L)
-  private lazy val sketches: Map[String, CorrelationSketch] =
-    SparkSketches.buildAll(TableGen.toDF(spark, tables), "pair", "key", "value", 128)
-  private lazy val cases = RankingEval.buildCases(tables, sketches)
+  private def tables = Fixtures.rankingTables
+  private lazy val cases = RankingEval.buildCases(tables, Fixtures.sketches(tables, 128))
   private lazy val result = RankingEval.evaluate(cases)
 
   test("cases exclude the query table itself") {
@@ -35,8 +31,7 @@ class RankingEvalSpec extends SparkSpec {
     cases.foreach { qc =>
       val q = byId(qc.queryId)
       qc.cands.foreach { c =>
-        val r = FullJoin.correlation(q, byId(c.id))
-        assert(qc.truth(c.id) == (if (r.isNaN) 0.0 else math.abs(r)), s"${qc.queryId} ${c.id}")
+        assert(qc.truth(c.id) == Scoring.absOrZero(FullJoin.correlation(q, byId(c.id))), s"${qc.queryId} ${c.id}")
         assert(c.jcExact == FullJoin.jaccardContainment(q, byId(c.id)), s"${qc.queryId} ${c.id}")
       }
     }

@@ -1,21 +1,18 @@
 package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.CorrelationSketch
+import repro.Fixtures.keySketch
 
 class SketchIndexSpec extends AnyFunSuite {
 
-  private def sk(keys: Seq[String], n: Int = 32) =
-    CorrelationSketch.fromColumns(keys.toArray, Array.fill(keys.size)(1.0), n)
-
   private val corpus = Map(
-    "full" -> sk((0 until 20).map(i => s"s$i")),
-    "half" -> sk((0 until 10).map(i => s"s$i")),
-    "one" -> sk(Seq("s0")),
-    "none" -> sk((0 until 20).map(i => s"other$i")),
+    "full" -> keySketch((0 until 20).map(i => s"s$i"), 32),
+    "half" -> keySketch((0 until 10).map(i => s"s$i"), 32),
+    "one" -> keySketch(Seq("s0"), 32),
+    "none" -> keySketch((0 until 20).map(i => s"other$i"), 32),
   )
   private val index = new SketchIndex(corpus)
-  private val query = sk((0 until 20).map(i => s"s$i"))
+  private val query = keySketch((0 until 20).map(i => s"s$i"), 32)
 
   test("index size counts the corpus sketches") {
     assert(index.size == 4)
@@ -42,15 +39,15 @@ class SketchIndexSpec extends AnyFunSuite {
   }
 
   test("empty query matches nothing") {
-    assert(index.search(sk(Seq.empty), topN = 5).isEmpty)
+    assert(index.search(keySketch(Seq.empty, 32), topN = 5).isEmpty)
   }
 
   test("ties break deterministically by id") {
     val idx = new SketchIndex(Map(
-      "b" -> sk(Seq("t1", "t2")),
-      "a" -> sk(Seq("t1", "t2")),
+      "b" -> keySketch(Seq("t1", "t2"), 32),
+      "a" -> keySketch(Seq("t1", "t2"), 32),
     ))
-    assert(idx.search(sk(Seq("t1", "t2")), topN = 2).map(_.id) == Seq("a", "b"))
+    assert(idx.search(keySketch(Seq("t1", "t2"), 32), topN = 2).map(_.id) == Seq("a", "b"))
   }
 
   test("sketchOf retrieves the indexed sketch") {
@@ -58,8 +55,8 @@ class SketchIndexSpec extends AnyFunSuite {
   }
 
   test("retrieval works when the query sketch is truncated") {
-    val bigCorpus = new SketchIndex(Map("big" -> sk((0 until 5000).map(i => s"t$i"), 64)))
-    val q = sk((0 until 5000).map(i => s"t$i"), 64)
+    val bigCorpus = new SketchIndex(Map("big" -> keySketch((0 until 5000).map(i => s"t$i"), 64)))
+    val q = keySketch((0 until 5000).map(i => s"t$i"), 64)
     val hits = bigCorpus.search(q, topN = 1)
     // identical key sets → identical bottom-64 sketches → full overlap
     assert(hits.head.overlap == 64)

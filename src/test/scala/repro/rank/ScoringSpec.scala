@@ -1,8 +1,9 @@
 package repro.rank
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Fixtures.{endToEndTables, rankingTables, same, sketches}
 import repro.core.CorrelationSketch
-import repro.data.{FullJoin, KVTable, TableGen}
+import repro.data.{FullJoin, KVTable}
 import repro.eval.RankingEval
 import repro.index.SketchIndex
 import repro.stats.{ConfidenceBounds, Correlations}
@@ -136,9 +137,9 @@ class ScoringSpec extends AnyFunSuite {
       KVTable("normal", keys, Array.tabulate(200)(i => math.sin(i.toDouble))),
       // the value range spans 2e308, beyond Double.MaxValue: Hoeffding is vacuous
       KVTable("huge", keys, Array.tabulate(200)(i => if (i % 3 == 0) -1e308 else 1e308)))
-    val sketches = tables.map(t => t.id -> CorrelationSketch.fromColumns(t.keys, t.values, 64)).toMap
+    val sks = sketches(tables, 64)
     for (q <- tables) {
-      val cands = tables.map(c => CandidateEstimates(c.id, sketches(q.id), sketches(c.id),
+      val cands = tables.map(c => CandidateEstimates(c.id, sks(q.id), sks(c.id),
         jcExact = FullJoin.jaccardContainment(q, c), seed = 1L))
       Ranker.all.foreach { r =>
         val ranked = Scoring.rank(cands, r)
@@ -161,26 +162,21 @@ class ScoringSpec extends AnyFunSuite {
   }
 
   test("estimates computed on demand equal the eager ones in any read order and every ranking") {
-    // The EndToEndSpec collection: each query's top-100 hits from an index of the others.
-    val e2e = TableGen.nycLike(TableGen.CollectionConfig(numGroups = 4, pairsPerGroup = 10,
-      minKeys = 300, maxKeys = 800, strongFraction = 0.3), seed = 123L)
-    val e2eSketches = e2e.map(t => t.id -> CorrelationSketch.fromColumns(t.keys, t.values, 256)).toMap
-    val e2eById = e2e.map(t => t.id -> t).toMap
-    val e2eLists = e2e.map { q =>
+    // The end-to-end collection: each query's top-100 hits from an index of the others.
+    val e2eSketches = sketches(endToEndTables, 256)
+    val e2eById = endToEndTables.map(t => t.id -> t).toMap
+    val e2eLists = endToEndTables.map { q =>
       val corpus = new SketchIndex(e2eSketches - q.id)
       e2eSketches(q.id) -> corpus.search(e2eSketches(q.id), topN = 100).map { h =>
         (h.id, corpus.sketchOf(h.id), FullJoin.jaccardContainment(q, e2eById(h.id)))
       }
     }
-    // The RankingEvalSpec collection: every truly joinable candidate of each query.
-    val rk = TableGen.nycLike(TableGen.CollectionConfig(numGroups = 3, pairsPerGroup = 8,
-      minKeys = 150, maxKeys = 400), seed = 55L)
-    val rkSketches = rk.map(t => t.id -> CorrelationSketch.fromColumns(t.keys, t.values, 128)).toMap
-    val rkLists = RankingEval.buildCases(rk, rkSketches).map { qc =>
+    // The ranking collection: every truly joinable candidate of each query.
+    val rkSketches = sketches(rankingTables, 128)
+    val rkLists = RankingEval.buildCases(rankingTables, rkSketches).map { qc =>
       rkSketches(qc.queryId) -> qc.cands.map(c => (c.id, rkSketches(c.id), c.jcExact))
     }
 
-    def same(a: Double, b: Double): Boolean = a == b || (a.isNaN && b.isNaN)
     def sameAll(got: Seq[Double], want: Seq[Double]): Boolean =
       got.lazyZip(want).forall(same)
     var pairs = 0

@@ -1,22 +1,9 @@
 package repro.stats
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Fixtures.bivariate
 
 class BootstrapSpec extends AnyFunSuite {
-
-  private def bivariate(n: Int, r: Double, seed: Long): (Array[Double], Array[Double]) = {
-    val rng = new java.util.SplittableRandom(seed)
-    def g() = {
-      val u1 = math.max(1e-300, rng.nextDouble()); val u2 = rng.nextDouble()
-      math.sqrt(-2 * math.log(u1)) * math.cos(2 * math.Pi * u2)
-    }
-    val x = new Array[Double](n); val y = new Array[Double](n)
-    for (i <- 0 until n) {
-      val z1 = g(); val z2 = g()
-      x(i) = z1; y(i) = r * z1 + math.sqrt(1 - r * r) * z2
-    }
-    (x, y)
-  }
 
   test("bootstrap estimate is close to the plain pearson estimate") {
     val (x, y) = bivariate(200, 0.6, 1L)

@@ -1,24 +1,15 @@
 package repro.stats
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Fixtures.bivariate
 
 class ConfidenceBoundsSpec extends AnyFunSuite {
 
   private def bounded(n: Int, r: Double, seed: Long): (Array[Double], Array[Double]) = {
     // Correlated pairs mapped into [0, 1] via the normal CDF — bounded data,
     // the setting the Hoeffding analysis assumes.
-    val rng = new java.util.SplittableRandom(seed)
-    def g() = {
-      val u1 = math.max(1e-300, rng.nextDouble()); val u2 = rng.nextDouble()
-      math.sqrt(-2 * math.log(u1)) * math.cos(2 * math.Pi * u2)
-    }
-    val x = new Array[Double](n); val y = new Array[Double](n)
-    for (i <- 0 until n) {
-      val z1 = g(); val z2 = g()
-      x(i) = NormalInv.cdf(z1)
-      y(i) = NormalInv.cdf(r * z1 + math.sqrt(1 - r * r) * z2)
-    }
-    (x, y)
+    val (x, y) = bivariate(n, r, seed)
+    (x.map(NormalInv.cdf), y.map(NormalInv.cdf))
   }
 
   test("fisher z standard error values") {
