@@ -24,6 +24,8 @@ import repro.rank.Ranker
 class Table1Bench extends AnyFunSuite {
 
   private lazy val result = RankingEval.experiment()
+  /** s1–s4, the rankers that read the correlation estimates. */
+  private val correlationRankers = Seq(Ranker.Rp, Ranker.RpSez, Ranker.RbCib, Ranker.RpCih)
 
   test("Table 1: print reproduction") {
     println(RankingEval.render(result))
@@ -33,7 +35,7 @@ class Table1Bench extends AnyFunSuite {
 
   test("Table 1 shape: every correlation ranker beats jc on MAP (r > .75)") {
     val jc = result.scores(Ranker.Jc).map75
-    for (r <- Seq(Ranker.Rp, Ranker.RpSez, Ranker.RbCib, Ranker.RpCih)) {
+    for (r <- correlationRankers) {
       assert(result.scores(r).map75 > jc,
         s"${r.name}: ${result.scores(r).map75} vs jc $jc")
     }
@@ -41,14 +43,14 @@ class Table1Bench extends AnyFunSuite {
 
   test("Table 1 shape: every correlation ranker beats jc on MAP (r > .50)") {
     val jc = result.scores(Ranker.Jc).map50
-    for (r <- Seq(Ranker.Rp, Ranker.RpSez, Ranker.RbCib, Ranker.RpCih)) {
+    for (r <- correlationRankers) {
       assert(result.scores(r).map50 > jc)
     }
   }
 
   test("Table 1 shape: every correlation ranker beats jc on nDCG@5 and nDCG@10") {
     val jc = result.scores(Ranker.Jc)
-    for (r <- Seq(Ranker.Rp, Ranker.RpSez, Ranker.RbCib, Ranker.RpCih)) {
+    for (r <- correlationRankers) {
       assert(result.scores(r).ndcg5 > jc.ndcg5)
       assert(result.scores(r).ndcg10 > jc.ndcg10)
     }

@@ -1,7 +1,6 @@
 package repro.data
 
 import repro.core.{AggFn, KeyState}
-import repro.stats.Correlations
 
 import scala.collection.mutable
 
@@ -51,20 +50,4 @@ object FullJoin {
     }
     (xs, ys)
   }
-
-  /** Ground-truth Pearson correlation of the mean-aggregated join. */
-  def correlation(a: KVTable, b: KVTable): Double = {
-    val (xs, ys) = joinedColumns(a, b)
-    Correlations.pearson(xs, ys)
-  }
-
-  /** Exact Jaccard containment |K_A∩K_B|/|K_A| (the `jc` baseline of §5.4)
-    * over the keys that carry a finite value, as the join and sketches count. */
-  def jaccardContainment(a: KVTable, b: KVTable): Double = {
-    val ma = aggregateByKey(a, AggFn.Mean)
-    if (ma.isEmpty) 0.0 else join(ma, aggregateByKey(b, AggFn.Mean))._1.length.toDouble / ma.size
-  }
-
-  /** Exact key-overlap size |K_A ∩ K_B|: the size of the join. */
-  def keyOverlap(a: KVTable, b: KVTable): Int = joinedColumns(a, b)._1.length
 }

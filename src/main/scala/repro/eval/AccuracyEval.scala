@@ -62,14 +62,13 @@ object AccuracyEval {
   def observe(pairs: Seq[(KVTable, KVTable)], sketchSizes: Seq[Int]): Seq[Obs] = {
     pairs.flatMap { case (a, b) =>
       val (xs, ys) = FullJoin.joinedColumns(a, b)
-      val truths = estimators.map(est => est.name -> est.truth(xs, ys)).toMap
+      val truths = estimators.map(_.truth(xs, ys))
       sketchSizes.flatMap { n =>
         val ska = CorrelationSketch.fromColumns(a.keys, a.values, n)
         val skb = CorrelationSketch.fromColumns(b.keys, b.values, n)
         val sj = CorrelationSketch.join(ska, skb)
         if (sj.n < MinJoin) Seq.empty
-        else estimators.flatMap { est =>
-          val truth = truths(est.name)
+        else estimators.zip(truths).flatMap { case (est, truth) =>
           val e = est.f(sj.xs, sj.ys)
           if (truth.isNaN || e.isNaN) None
           else Some(Obs(est.name, n, sj.n, e, truth))

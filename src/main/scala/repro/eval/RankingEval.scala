@@ -60,29 +60,19 @@ object RankingEval {
     }
   }
 
-  /** Score all cases under all rankers and aggregate the four metrics. */
-  def evaluate(cases: Seq[QueryCase]): Result = {
-    val scores = Ranker.all.map { ranker =>
-      val perQuery = cases.map { qc =>
-        val rankedIds = Scoring.rank(qc.cands, ranker, RankSeed ^ qc.queryId.hashCode.toLong)
-          .map(_._1)
-        val gains = rankedIds.map(qc.truth)
-        (
-          Metrics.averagePrecision(gains.map(_ > 0.75)),
-          Metrics.averagePrecision(gains.map(_ > 0.50)),
-          Metrics.ndcg(gains, 5),
-          Metrics.ndcg(gains, 10),
-        )
-      }
-      ranker -> Scores(
-        map75 = Metrics.mean(perQuery.map(_._1)),
-        map50 = Metrics.mean(perQuery.map(_._2)),
-        ndcg5 = Metrics.mean(perQuery.map(_._3)),
-        ndcg10 = Metrics.mean(perQuery.map(_._4)),
-      )
-    }.toMap
-    Result(scores)
-  }
+  /** Score all cases under all rankers and aggregate the four metrics over
+    * each ranker's per-query ranked gains.
+    */
+  def evaluate(cases: Seq[QueryCase]): Result = Result(Ranker.all.map { ranker =>
+    val gains = cases.map { qc =>
+      Scoring.rank(qc.cands, ranker, RankSeed ^ qc.queryId.hashCode.toLong).map { case (id, _) => qc.truth(id) }
+    }
+    ranker -> Scores(
+      map75 = Metrics.mean(gains.map(g => Metrics.averagePrecision(g.map(_ > 0.75)))),
+      map50 = Metrics.mean(gains.map(g => Metrics.averagePrecision(g.map(_ > 0.50)))),
+      ndcg5 = Metrics.mean(gains.map(Metrics.ndcg(_, 5))),
+      ndcg10 = Metrics.mean(gains.map(Metrics.ndcg(_, 10))))
+  }.toMap)
 
   /** Table 1 as its bench runs it, on the NYC-like
     * collection with locally built sketches. `minKeep` is low so many

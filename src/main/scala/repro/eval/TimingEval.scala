@@ -87,12 +87,12 @@ object TimingEval {
       val sj = CorrelationSketch.join(sketches(i)._1, sketches(i)._2)
       (sj.xs, sj.ys)
     }
-    def timed(join: Int => (Array[Double], Array[Double])): Array[Array[Double]] = {
+    def timed(join: Int => (Array[Double], Array[Double])) = {
       pass(math.min(warmup, pairs.length), join)
       pass(pairs.length, join)
     }
-    val Array(skJoin, skRp, skRs) = timed(sketchJoin)
-    val Array(fullJ, fullRp, fullRs) = timed(fullJoin)
+    val (skJoin, skRp, skRs) = timed(sketchJoin)
+    val (fullJ, fullRp, fullRs) = timed(fullJoin)
 
     Seq(
       stats("full.join", fullJ),
@@ -105,20 +105,20 @@ object TimingEval {
   }
 
   /** Times (ms) of `join`, then Pearson and Spearman over its paired
-    * columns, for each of the first `m` pairs: one row per op, one median
-    * timing per pair.
+    * columns, for each of the first `m` pairs: the (join, r_p, r_s) timings,
+    * one median timing per pair in each.
     */
-  private def pass(m: Int, join: Int => (Array[Double], Array[Double])): Array[Array[Double]] = {
-    val t = Array.ofDim[Double](3, m)
+  private def pass(m: Int, join: Int => (Array[Double], Array[Double])): (Array[Double], Array[Double], Array[Double]) = {
+    val (tJoin, tRp, tRs) = (new Array[Double](m), new Array[Double](m), new Array[Double](m))
     var i = 0
     while (i < m) {
-      val ((xs, ys), tJoin) = medianMs(join(i))
-      t(0)(i) = tJoin
-      t(1)(i) = medianMs(Correlations.pearson(xs, ys))._2
-      t(2)(i) = medianMs(Correlations.spearman(xs, ys))._2
+      val ((xs, ys), tj) = medianMs(join(i))
+      tJoin(i) = tj
+      tRp(i) = medianMs(Correlations.pearson(xs, ys))._2
+      tRs(i) = medianMs(Correlations.spearman(xs, ys))._2
       i += 1
     }
-    t
+    (tJoin, tRp, tRs)
   }
 
   /** Table 2 as its bench runs it. */

@@ -66,25 +66,34 @@ object CandidateEstimates {
 /** The scoring functions of §4.4 plus the §5.4 baselines. Each maps a list
   * of candidates to ranking scores; `cih` is list-dependent (its confidence
   * lengths are min-max normalized within the ranked list), so scoring is
-  * defined over whole lists rather than single candidates.
+  * defined over whole lists rather than single candidates. The seed feeds
+  * only `Random`.
   */
-sealed trait Ranker { def name: String }
+sealed abstract class Ranker(val name: String,
+                             private[rank] val scores: (Seq[CandidateEstimates], Long) => Seq[Double])
 
 object Ranker {
+  import Scoring.{absOrZero, cib, cih, sez}
+
   /** s1 = |r_p| (no risk penalization). */
-  case object Rp extends Ranker { val name = "r_p" }
+  case object Rp extends Ranker("r_p", (cs, _) => cs.map(c => absOrZero(c.rp)))
   /** s2 = |r_p| · se_z. */
-  case object RpSez extends Ranker { val name = "r_p*se_z" }
+  case object RpSez extends Ranker("r_p*se_z", (cs, _) => cs.map(c => absOrZero(c.rp) * sez(c.n)))
   /** s3 = |r_b| · ci_b (PM1 bootstrap estimate and CI). */
-  case object RbCib extends Ranker { val name = "r_b*ci_b" }
+  case object RbCib extends Ranker("r_b*ci_b",
+    (cs, _) => cs.map(c => absOrZero(c.rb) * cib(c.pm1Low, c.pm1High)))
   /** s4 = |r_p| · ci_h (Hoeffding CI, list-normalized). */
-  case object RpCih extends Ranker { val name = "r_p*ci_h" }
+  case object RpCih extends Ranker("r_p*ci_h",
+    (cs, _) => cs.lazyZip(cih(cs.map(_.hfdLength))).map((c, p) => absOrZero(c.rp) * p))
   /** Exact Jaccard containment of the query key set (joinability baseline). */
-  case object Jc extends Ranker { val name = "jc" }
+  case object Jc extends Ranker("jc", (cs, _) => cs.map(_.jcExact))
   /** Sketch-estimated Jaccard containment. */
-  case object JcEst extends Ranker { val name = "jc_est" }
+  case object JcEst extends Ranker("jc_est", (cs, _) => cs.map(_.jcEst))
   /** Uniform random scores in [0, 1]. */
-  case object Random extends Ranker { val name = "random" }
+  case object Random extends Ranker("random", (cs, seed) => {
+    val rng = new SplittableRandom(seed)
+    cs.map(_ => rng.nextDouble())
+  })
 
   val all: Seq[Ranker] = Seq(RpCih, RbCib, Rp, RpSez, Jc, JcEst, Random)
 }
@@ -121,20 +130,6 @@ object Scoring {
     * descending score with a deterministic id tie-break.
     */
   def rank(cands: Seq[CandidateEstimates], ranker: Ranker,
-           seed: Long = 7L): Seq[(String, Double)] = {
-    val scores: Seq[Double] = ranker match {
-      case Ranker.Rp     => cands.map(c => absOrZero(c.rp))
-      case Ranker.RpSez  => cands.map(c => absOrZero(c.rp) * sez(c.n))
-      case Ranker.RbCib  => cands.map(c => absOrZero(c.rb) * cib(c.pm1Low, c.pm1High))
-      case Ranker.RpCih  =>
-        val pens = cih(cands.map(_.hfdLength))
-        cands.lazyZip(pens).map((c, p) => absOrZero(c.rp) * p)
-      case Ranker.Jc     => cands.map(_.jcExact)
-      case Ranker.JcEst  => cands.map(_.jcEst)
-      case Ranker.Random =>
-        val rng = new SplittableRandom(seed)
-        cands.map(_ => rng.nextDouble())
-    }
-    cands.map(_.id).zip(scores).sortBy { case (id, s) => (-s, id) }
-  }
+           seed: Long = 7L): Seq[(String, Double)] =
+    cands.map(_.id).zip(ranker.scores(cands, seed)).sortBy { case (id, s) => (-s, id) }
 }

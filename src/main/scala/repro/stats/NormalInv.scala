@@ -39,16 +39,4 @@ object NormalInv {
         ((((d(0) * q + d(1)) * q + d(2)) * q + d(3)) * q + 1)
     }
   }
-
-  /** Standard-normal CDF (Abramowitz–Stegun 7.1.26 via erf), used in tests
-    * to round-trip against [[icdf]].
-    */
-  def cdf(x: Double): Double = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-
-  private def erf(x: Double): Double = {
-    val t = 1.0 / (1.0 + 0.3275911 * math.abs(x))
-    val y = 1.0 - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t +
-      0.254829592) * t * math.exp(-x * x)
-    if (x >= 0) y else -y
-  }
 }

@@ -1,7 +1,7 @@
 package repro
 
 import repro.core.{CorrelationSketch, SparkSketches}
-import repro.data.{FullJoin, TableGen}
+import repro.data.TableGen
 import repro.eval.QueryLatencyEval
 import repro.index.SketchIndex
 import repro.rank.{CandidateEstimates, Ranker, Scoring}
@@ -21,8 +21,8 @@ class EndToEndSpec extends SparkSpec {
   /** Query whose group contains at least one candidate with |r| > 0.6. */
   private lazy val interestingQuery: (String, Seq[(String, Double)]) = {
     val found = tables.view.map { q =>
-      val truths = tables.filter(c => c.id != q.id && FullJoin.keyOverlap(q, c) >= 3)
-        .map(c => c.id -> Scoring.absOrZero(FullJoin.correlation(q, c)))
+      val truths = tables.filter(c => c.id != q.id && Fixtures.keyOverlap(q, c) >= 3)
+        .map(c => c.id -> Scoring.absOrZero(Fixtures.correlation(q, c)))
       q.id -> truths
     }.find(_._2.exists(_._2 > 0.6))
     assert(found.isDefined, "collection should plant a strong correlation")
@@ -37,7 +37,7 @@ class EndToEndSpec extends SparkSpec {
     val qid = interestingQuery._1
     corpus.search(sketches(qid), topN = 100).map { h =>
       CandidateEstimates(h.id, sketches(qid), corpus.sketchOf(h.id),
-        jcExact = FullJoin.jaccardContainment(byId(qid), byId(h.id)), seed = 3L)
+        jcExact = Fixtures.jaccardContainment(byId(qid), byId(h.id)), seed = 3L)
     }
   }
 

@@ -1,7 +1,8 @@
 package repro
 
-import repro.core.{CorrelationSketch, Hashing}
-import repro.data.{KVTable, TableGen}
+import repro.core.{AggFn, CorrelationSketch, Hashing}
+import repro.data.{FullJoin, KVTable, TableGen}
+import repro.stats.Correlations
 
 /** Test inputs and references that more than one suite uses. */
 object Fixtures {
@@ -28,6 +29,35 @@ object Fixtures {
   /** Locally built sketches of `tables`, by table id. */
   def sketches(tables: Seq[KVTable], n: Int): Map[String, CorrelationSketch] =
     tables.map(t => t.id -> CorrelationSketch.fromColumns(t.keys, t.values, n)).toMap
+
+  /** Ground-truth Pearson correlation of the mean-aggregated join. */
+  def correlation(a: KVTable, b: KVTable): Double = {
+    val (xs, ys) = FullJoin.joinedColumns(a, b)
+    Correlations.pearson(xs, ys)
+  }
+
+  /** Exact key-overlap size |K_A ∩ K_B|: the size of the join. */
+  def keyOverlap(a: KVTable, b: KVTable): Int = FullJoin.joinedColumns(a, b)._1.length
+
+  /** Exact Jaccard containment |K_A∩K_B|/|K_A| (the `jc` baseline of §5.4)
+    * over the keys that carry a finite value, as the join and sketches count. */
+  def jaccardContainment(a: KVTable, b: KVTable): Double = {
+    val ma = FullJoin.aggregateByKey(a, AggFn.Mean)
+    if (ma.isEmpty) 0.0
+    else FullJoin.join(ma, FullJoin.aggregateByKey(b, AggFn.Mean))._1.length.toDouble / ma.size
+  }
+
+  /** Standard-normal CDF (Abramowitz–Stegun 7.1.26 via erf), the round-trip
+    * reference for [[repro.stats.NormalInv.icdf]].
+    */
+  def normalCdf(x: Double): Double = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+  private def erf(x: Double): Double = {
+    val t = 1.0 / (1.0 + 0.3275911 * math.abs(x))
+    val y = 1.0 - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t +
+      0.254829592) * t * math.exp(-x * x)
+    if (x >= 0) y else -y
+  }
 
   /** Equality that counts NaN as equal to NaN: an empty side's range and an undefined estimate are NaN. */
   def same(a: Double, b: Double): Boolean = a == b || (a.isNaN && b.isNaN)

@@ -2,7 +2,7 @@ package repro.data
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Fixtures, Oracle, SparkSpec}
 import repro.core.{AggFn, CorrelationSketch}
 
 class FullJoinSpec extends SparkSpec {
@@ -72,27 +72,27 @@ class FullJoinSpec extends SparkSpec {
 
   test("jaccard containment of the worked example") {
     // tx has 7 distinct keys, 4 of them appear in ty
-    assert(math.abs(FullJoin.jaccardContainment(tx, ty) - 4.0 / 7.0) < 1e-12)
-    assert(FullJoin.jaccardContainment(ty, tx) == 1.0)
+    assert(math.abs(Fixtures.jaccardContainment(tx, ty) - 4.0 / 7.0) < 1e-12)
+    assert(Fixtures.jaccardContainment(ty, tx) == 1.0)
   }
 
   test("key overlap counts distinct shared keys") {
-    assert(FullJoin.keyOverlap(tx, ty) == 4)
+    assert(Fixtures.keyOverlap(tx, ty) == 4)
   }
 
   test("containment of an empty table is zero") {
     val empty = KVTable("e", Array.empty, Array.empty)
-    assert(FullJoin.jaccardContainment(empty, tx) == 0.0)
+    assert(Fixtures.jaccardContainment(empty, tx) == 0.0)
   }
 
   test("a key with no finite value counts in neither the overlap nor jc") {
     val q = KVTable("q", Array("x", "y", "w"), Array(Double.NaN, 1.0, 4.0))
     val c = KVTable("c", Array("x", "y"), Array(2.0, 5.0))
-    assert(FullJoin.keyOverlap(q, c) == 1)
-    assert(FullJoin.keyOverlap(q, c) == FullJoin.joinedColumns(q, c)._1.length)
-    assert(FullJoin.jaccardContainment(q, c) == 0.5)
+    assert(Fixtures.keyOverlap(q, c) == 1)
+    assert(Fixtures.keyOverlap(q, c) == FullJoin.joinedColumns(q, c)._1.length)
+    assert(Fixtures.jaccardContainment(q, c) == 0.5)
     val sketch = (t: KVTable) => CorrelationSketch.fromColumns(t.keys, t.values, 16)
-    assert(FullJoin.jaccardContainment(q, c) == CorrelationSketch.containmentEstimate(sketch(q), sketch(c)))
+    assert(Fixtures.jaccardContainment(q, c) == CorrelationSketch.containmentEstimate(sketch(q), sketch(c)))
   }
 
   test("Spark joinedDF matches the local join (oracle-checked vs DuckDB)") {
@@ -105,7 +105,7 @@ class FullJoinSpec extends SparkSpec {
   }
 
   test("local ground-truth correlation equals the Spark/DuckDB-checked value") {
-    val rLocal = FullJoin.correlation(tx, ty)
+    val rLocal = Fixtures.correlation(tx, ty)
     val rSpark = joinedDF(tx, ty).agg(corr("x", "y"))
       .collect()(0).getDouble(0)
     assert(math.abs(rLocal - rSpark) < 1e-9)

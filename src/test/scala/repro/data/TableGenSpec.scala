@@ -1,6 +1,6 @@
 package repro.data
 
-import repro.SparkSpec
+import repro.{Fixtures, SparkSpec}
 import repro.stats.Correlations
 
 class TableGenSpec extends SparkSpec {
@@ -28,7 +28,7 @@ class TableGenSpec extends SparkSpec {
   test("sbnPair keys are namespaced so separate pairs never join") {
     val p1 = TableGen.sbnPair("p1", 100, 0.5, 1.0, 4L)
     val p2 = TableGen.sbnPair("p2", 100, 0.5, 1.0, 4L)
-    assert(FullJoin.keyOverlap(p1.x, p2.x) == 0)
+    assert(Fixtures.keyOverlap(p1.x, p2.x) == 0)
   }
 
   test("sbn collection has the requested shape and is deterministic") {
@@ -52,8 +52,8 @@ class TableGenSpec extends SparkSpec {
     val ts = TableGen.nycLike(cfg, seed = 6L)
     val g0 = ts.filter(_.id.startsWith("g0:"))
     val g1 = ts.filter(_.id.startsWith("g1:"))
-    assert(FullJoin.keyOverlap(g0(0), g0(1)) > 0)
-    assert(FullJoin.keyOverlap(g0(0), g1(0)) == 0)
+    assert(Fixtures.keyOverlap(g0(0), g0(1)) > 0)
+    assert(Fixtures.keyOverlap(g0(0), g1(0)) == 0)
   }
 
   test("nycLike accepts a fixed key-domain size and rejects an empty one") {
@@ -80,7 +80,7 @@ class TableGenSpec extends SparkSpec {
       g <- Seq("g0", "g1")
       group = ts.filter(_.id.startsWith(g + ":"))
       a <- group; b <- group if a.id < b.id
-      r = FullJoin.correlation(a, b) if !r.isNaN
+      r = Fixtures.correlation(a, b) if !r.isNaN
     } yield math.abs(r)
     assert(rs.exists(_ > 0.5), "no strongly correlated pair planted")
     assert(rs.exists(_ < 0.2), "no weakly correlated pair planted")

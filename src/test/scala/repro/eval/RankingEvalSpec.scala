@@ -2,7 +2,6 @@ package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
-import repro.data.FullJoin
 import repro.rank.{Ranker, Scoring}
 
 class RankingEvalSpec extends AnyFunSuite {
@@ -25,14 +24,14 @@ class RankingEvalSpec extends AnyFunSuite {
   test("candidates, truths and jc equal the exact overlap, correlation and containment") {
     val byId = tables.map(t => t.id -> t).toMap
     val expected = tables.map { q =>
-      q.id -> tables.filter(c => c.id != q.id && FullJoin.keyOverlap(q, c) >= 3).map(_.id)
+      q.id -> tables.filter(c => c.id != q.id && Fixtures.keyOverlap(q, c) >= 3).map(_.id)
     }.filter(_._2.nonEmpty)
     assert(cases.map(qc => qc.queryId -> qc.cands.map(_.id)) == expected)
     cases.foreach { qc =>
       val q = byId(qc.queryId)
       qc.cands.foreach { c =>
-        assert(qc.truth(c.id) == Scoring.absOrZero(FullJoin.correlation(q, byId(c.id))), s"${qc.queryId} ${c.id}")
-        assert(c.jcExact == FullJoin.jaccardContainment(q, byId(c.id)), s"${qc.queryId} ${c.id}")
+        assert(qc.truth(c.id) == Scoring.absOrZero(Fixtures.correlation(q, byId(c.id))), s"${qc.queryId} ${c.id}")
+        assert(c.jcExact == Fixtures.jaccardContainment(q, byId(c.id)), s"${qc.queryId} ${c.id}")
       }
     }
   }

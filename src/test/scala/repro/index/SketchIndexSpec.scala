@@ -1,7 +1,8 @@
 package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.Fixtures.keySketch
+import repro.Fixtures.{endToEndTables, keySketch, rankingTables, sketches}
+import repro.core.CorrelationSketch
 
 class SketchIndexSpec extends AnyFunSuite {
 
@@ -60,5 +61,22 @@ class SketchIndexSpec extends AnyFunSuite {
     val hits = bigCorpus.search(q, topN = 1)
     // identical key sets → identical bottom-64 sketches → full overlap
     assert(hits.head.overlap == 64)
+  }
+
+  test("every hit's overlap is its sketch-join size, and the hits are the non-empty joins") {
+    var hits = 0
+    for ((tables, n) <- Seq(endToEndTables -> 256, rankingTables -> 128)) {
+      val sks = sketches(tables, n)
+      for (t <- tables) {
+        val q = sks(t.id)
+        val idx = new SketchIndex(sks - t.id)
+        val found = idx.search(q, topN = idx.size)
+        found.foreach(h => assert(h.overlap == CorrelationSketch.join(q, idx.sketchOf(h.id)).n, s"${t.id} ${h.id}"))
+        val joinable = idx.sketches.collect { case (id, c) if CorrelationSketch.join(q, c).n > 0 => id }
+        assert(found.map(_.id).toSet == joinable.toSet, t.id)
+        hits += found.size
+      }
+    }
+    assert(hits > 0)
   }
 }

@@ -1,9 +1,9 @@
 package repro.rank
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.Fixtures.{endToEndTables, rankingTables, same, sketches}
+import repro.Fixtures.{endToEndTables, jaccardContainment, rankingTables, same, sketches}
 import repro.core.CorrelationSketch
-import repro.data.{FullJoin, KVTable}
+import repro.data.KVTable
 import repro.eval.RankingEval
 import repro.index.SketchIndex
 import repro.stats.{ConfidenceBounds, Correlations}
@@ -140,7 +140,7 @@ class ScoringSpec extends AnyFunSuite {
     val sks = sketches(tables, 64)
     for (q <- tables) {
       val cands = tables.map(c => CandidateEstimates(c.id, sks(q.id), sks(c.id),
-        jcExact = FullJoin.jaccardContainment(q, c), seed = 1L))
+        jcExact = jaccardContainment(q, c), seed = 1L))
       Ranker.all.foreach { r =>
         val ranked = Scoring.rank(cands, r)
         assert(ranked.size == tables.size)
@@ -168,7 +168,7 @@ class ScoringSpec extends AnyFunSuite {
     val e2eLists = endToEndTables.map { q =>
       val corpus = new SketchIndex(e2eSketches - q.id)
       e2eSketches(q.id) -> corpus.search(e2eSketches(q.id), topN = 100).map { h =>
-        (h.id, corpus.sketchOf(h.id), FullJoin.jaccardContainment(q, e2eById(h.id)))
+        (h.id, corpus.sketchOf(h.id), jaccardContainment(q, e2eById(h.id)))
       }
     }
     // The ranking collection: every truly joinable candidate of each query.

@@ -1,7 +1,7 @@
 package repro.stats
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.Fixtures.bivariate
+import repro.Fixtures.{bivariate, normalCdf}
 
 class ConfidenceBoundsSpec extends AnyFunSuite {
 
@@ -9,7 +9,7 @@ class ConfidenceBoundsSpec extends AnyFunSuite {
     // Correlated pairs mapped into [0, 1] via the normal CDF — bounded data,
     // the setting the Hoeffding analysis assumes.
     val (x, y) = bivariate(n, r, seed)
-    (x.map(NormalInv.cdf), y.map(NormalInv.cdf))
+    (x.map(normalCdf), y.map(normalCdf))
   }
 
   test("fisher z standard error values") {
